@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 
 #include "core/layout_view.hpp"
 #include "support/error.hpp"
@@ -73,10 +74,16 @@ std::uint64_t next_payload_generation() {
 }  // namespace
 
 struct Distribution::Payload {
-  virtual ~Payload() = default;
+  virtual ~Payload() { delete signature.load(std::memory_order_acquire); }
 
   // Run tables computed by LayoutView, shared by all copies of this payload.
   mutable RunMemo memo;
+
+  // Plan-signature memo (Distribution::plan_signature): built on first
+  // use, published once by CAS and never replaced, owned by the payload.
+  // Every input to the signature is fixed for the payload's lifetime, so
+  // like the run-table memo it needs no invalidation.
+  mutable std::atomic<const std::string*> signature{nullptr};
 
   // Process-unique, never-reused id (see Distribution::payload_generation).
   const std::uint64_t generation = next_payload_generation();
@@ -310,25 +317,18 @@ struct Distribution::ExplicitPayload final : Distribution::Payload {
   IndexDomain map_domain;
   std::vector<OwnerSet> owner_table;
   bool any_replicated = false;
-  // Lazily computed FNV-1a digest of the owner table (0 = not yet
-  // computed; the computed value is forced nonzero). Atomic so concurrent
-  // first queries race benignly to the same value. Like the run-table
-  // memo, it lives on the immutable payload, so it needs no invalidation.
-  mutable std::atomic<std::uint64_t> digest{0};
 
+  /// FNV-1a digest of the owner table. Computed once per payload, inside
+  /// the plan-signature memo.
   std::uint64_t content_digest() const {
-    std::uint64_t d = digest.load(std::memory_order_acquire);
-    if (d != 0) return d;
-    d = fnv1a_basis;
+    std::uint64_t d = fnv1a_basis;
     for (const OwnerSet& set : owner_table) {
       // Sets are sorted at construction (explicit_map), so the bytes are
       // canonical: elementwise-equal tables digest equal.
       d = fnv1a_mix(d, static_cast<Extent>(set.size()));
       for (ApId p : set) d = fnv1a_mix(d, p);
     }
-    if (d == 0) d = 1;
-    digest.store(d, std::memory_order_release);
-    return d;
+    return d == 0 ? 1 : d;  // forced nonzero
   }
 
   Kind kind() const override { return Kind::kExplicit; }
@@ -586,7 +586,37 @@ bool Distribution::has_plan_signature() const noexcept {
   return payload_ != nullptr;
 }
 
+const std::string& Distribution::plan_signature() const {
+  // Lock-free once-publication, the rule SecExpr::program() follows:
+  // concurrent first calls may each build the bytes, exactly one wins the
+  // CAS into the payload's slot, and every caller returns the winner. A
+  // published signature is never replaced, so the reference stays valid
+  // while the payload lives.
+  const Payload& p = payload();
+  if (const std::string* sig = p.signature.load(std::memory_order_acquire)) {
+    return *sig;
+  }
+  auto built = std::make_unique<std::string>();
+  build_plan_signature(*built);
+  const std::string* expected = nullptr;
+  if (p.signature.compare_exchange_strong(expected, built.get(),
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+    return *built.release();
+  }
+  return *expected;  // another thread published first
+}
+
 void Distribution::append_plan_signature(std::string& out) const {
+  out += plan_signature();
+}
+
+void Distribution::build_plan_signature(std::string& out) const {
+  // Every input below is fixed for the payload's lifetime: payload fields
+  // are set at construction only; children are immutable payloads (their
+  // own memos compose in); a ProcessorRef's arrangement shape and offset
+  // and its space's size and policies are set only in their constructors;
+  // and table digests hash immutable tables.
   switch (kind()) {
     case Kind::kFormats: {
       const auto& p = static_cast<const FormatsPayload&>(payload());

@@ -193,15 +193,19 @@ class Distribution {
   /// distributions.
   bool has_plan_signature() const noexcept;
 
-  /// Appends the payload's content plan signature to `out`: a byte string
-  /// equal for two distributions exactly when any priced communication
-  /// schedule over them is interchangeable — the PlanCache key component
+  /// The payload's content plan signature: a byte string equal for two
+  /// distributions exactly when any priced communication schedule over
+  /// them is interchangeable — the PlanCache key component
   /// (exec/comm_plan.hpp) that lets two payloads minted at different
   /// addresses (the fresh section-view dummy of every procedure call)
-  /// share one plan. Table-backed content enters as a memoized 64-bit
-  /// FNV-1a digest, so signatures stay cheap for large owner tables; the
-  /// digest is computed once per payload (payloads are immutable, like
-  /// their run-table memos, so it is never invalidated).
+  /// share one plan. Table-backed content enters as a 64-bit FNV-1a
+  /// digest, so signatures stay short for large owner tables. Memoized on
+  /// the immutable payload (built once, thread-safe; constructed and
+  /// section-view payloads compose their children's memos), so a warm key
+  /// build costs one append per distribution.
+  const std::string& plan_signature() const;
+
+  /// Appends plan_signature() to `out`.
   void append_plan_signature(std::string& out) const;
 
   /// Accessors for kFormats payloads; throw InternalError otherwise.
@@ -249,6 +253,7 @@ class Distribution {
       : payload_(std::move(payload)) {}
 
   const Payload& payload() const;
+  void build_plan_signature(std::string& out) const;
 
   std::shared_ptr<const Payload> payload_;
 };

@@ -42,15 +42,19 @@ void Interpreter::create_storage_for(DataEnv& env, const std::string& name) {
 }
 
 void Interpreter::exec_node(const AstNode& node, Binder& binder) {
-  // Attach the statement's source line to conformance errors raised past
-  // the binder (CALL arity, array-assignment execution, ...). The binder
-  // already locates its own; located() stops double-wrapping so the
-  // innermost (most precise) location wins.
+  // Attach the statement's source line to conformance and mapping errors
+  // raised past the binder (CALL arity, array-assignment execution, a
+  // zero-stride section, ...). The binder already locates its own;
+  // located() stops double-wrapping so the innermost (most precise)
+  // location wins.
   try {
     exec_node_impl(node, binder);
   } catch (const ConformanceError& e) {
     if (e.located()) throw;
     throw ConformanceError(e.message(), node.line, 1);
+  } catch (const MappingError& e) {
+    if (e.located()) throw;
+    throw MappingError(e.message(), node.line, 1);
   }
 }
 

@@ -25,17 +25,6 @@ bool CommPlan::references_any(const std::vector<ApId>& failed) const {
   return false;
 }
 
-bool has_structural_signature(const Distribution& dist) {
-  // Every valid payload now carries a content signature
-  // (Distribution::append_plan_signature): formats serialize their
-  // specification with table-backed formats entering as memoized digests,
-  // constructed payloads compose α with the base, section views compose
-  // their triplets with the parent, explicit payloads digest their owner
-  // table. Address+generation keying remains only as the fallback for an
-  // invalid distribution (which no caller should pass).
-  return dist.has_plan_signature();
-}
-
 void PlanKey::add_tag(const char* tag) {
   key_ += tag;
   key_ += ';';
@@ -76,6 +65,19 @@ void take_pins_into(PlanKey& k, std::vector<Distribution>* pins) {
   }
 }
 
+// Byte counts of the PlanKey fields, for sizing a key's buffer once. They
+// mirror the append calls above; an undercount only costs a regrowth.
+constexpr std::size_t kScalarBytes = 1 + sizeof(Extent);
+
+std::size_t section_bytes(const std::vector<Triplet>& section) {
+  return kScalarBytes + section.size() * 3 * sizeof(Index1);
+}
+
+std::size_t signature_bytes(const Distribution& dist) {
+  return dist.has_plan_signature() ? dist.plan_signature().size()
+                                   : 1 + 2 * sizeof(Extent);
+}
+
 }  // namespace
 
 std::string assign_plan_key(const Distribution& lhs_dist,
@@ -83,7 +85,16 @@ std::string assign_plan_key(const Distribution& lhs_dist,
                             Extent elem_bytes, Extent flops,
                             const std::vector<AssignKeyLeaf>& leaves,
                             std::vector<Distribution>* pins) {
-  PlanKey k;
+  std::size_t capacity = sizeof("assign;") + signature_bytes(lhs_dist) +
+                         section_bytes(lhs_section) + 2 * kScalarBytes;
+  for (const AssignKeyLeaf& leaf : leaves) {
+    capacity += signature_bytes(*leaf.dist) + section_bytes(*leaf.section) +
+                kScalarBytes;
+    if (leaf.posted) {
+      capacity += sizeof("posted;") + leaf.shadow->size() * 2 * kScalarBytes;
+    }
+  }
+  PlanKey k(capacity);
   k.add_tag("assign");
   k.add_distribution(lhs_dist);
   k.add_section(lhs_section);
@@ -107,19 +118,20 @@ std::string assign_plan_key(const Distribution& lhs_dist,
     }
   }
   take_pins_into(k, pins);
-  return k.str();
+  return k.take();
 }
 
 std::string remap_plan_key(const Distribution& from, const Distribution& to,
                            Extent elem_bytes,
                            std::vector<Distribution>* pins) {
-  PlanKey k;
+  PlanKey k(sizeof("remap;") + signature_bytes(from) + signature_bytes(to) +
+            kScalarBytes);
   k.add_tag("remap");
   k.add_distribution(from);
   k.add_distribution(to);
   k.add_scalar(elem_bytes);
   take_pins_into(k, pins);
-  return k.str();
+  return k.take();
 }
 
 std::string copy_plan_key(const Distribution& dst_dist,
@@ -128,7 +140,9 @@ std::string copy_plan_key(const Distribution& dst_dist,
                           const std::vector<Triplet>& src_section,
                           Extent elem_bytes,
                           std::vector<Distribution>* pins) {
-  PlanKey k;
+  PlanKey k(sizeof("copy;") + signature_bytes(dst_dist) +
+            section_bytes(dst_section) + signature_bytes(src_dist) +
+            section_bytes(src_section) + kScalarBytes);
   k.add_tag("copy");
   k.add_distribution(dst_dist);
   k.add_section(dst_section);
@@ -136,7 +150,7 @@ std::string copy_plan_key(const Distribution& dst_dist,
   k.add_section(src_section);
   k.add_scalar(elem_bytes);
   take_pins_into(k, pins);
-  return k.str();
+  return k.take();
 }
 
 std::shared_ptr<const CommPlan> PlanCache::lookup(const std::string& key) {

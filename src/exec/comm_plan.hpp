@@ -36,6 +36,10 @@
 //     last call's, and call N>1 replays call 1's argument-copy plans;
 //   * explicit payloads digest their (canonicalized) owner table.
 //
+// Each payload's signature is built once and memoized on the immutable
+// payload (Distribution::plan_signature), so a warm statement's key build
+// is one append per participating distribution.
+//
 // Address + process-unique generation-id keying (with the Distribution
 // pinned by the entry) survives only as the fallback for a payload kind
 // without a signature — none today.
@@ -138,21 +142,15 @@ struct CommPlan {
   bool references_any(const std::vector<ApId>& failed) const;
 };
 
-/// True when the payload's schedule-relevant state is fully captured by a
-/// compact content signature — a thin alias for
-/// Distribution::has_plan_signature, kept because the exec layer and its
-/// tests reason about plan keys through this header. True for every valid
-/// distribution since table-backed payloads gained content digests.
-bool has_structural_signature(const Distribution& dist);
-
 /// Builds the cache key of one priced step from its pricing inputs. Every
 /// distribution the schedule depends on must be added; payloads with a
 /// content signature (all of them today) key by value so structurally
 /// equal layouts share plans, anything else keys by address + generation
-/// id and is collected as a pin.
+/// id and is collected as a pin. The key builders size the buffer once up
+/// front and move the finished key out with take().
 class PlanKey {
  public:
-  PlanKey() { key_.reserve(256); }
+  explicit PlanKey(std::size_t capacity = 256) { key_.reserve(capacity); }
 
   void add_tag(const char* tag);
   void add_scalar(Extent v);
@@ -160,6 +158,8 @@ class PlanKey {
   void add_distribution(const Distribution& dist);
 
   const std::string& str() const noexcept { return key_; }
+  /// Moves the finished key out; the builder is empty afterwards.
+  std::string take() noexcept { return std::move(key_); }
   std::vector<Distribution> take_pins() { return std::move(pins_); }
 
  private:

@@ -128,77 +128,98 @@ double SecExpr::eval_serial(const ProgramState& state,
 
 // --- SecProgram: the segment-vectorized engine ------------------------------
 
+int SecExpr::compile_leaf(const Node& n, SecProgram& prog) {
+  const int leaf = static_cast<int>(prog.leaves_.size());
+  prog.leaves_.push_back(SecLeaf{n.array, n.bytes, &n.domain, &n.section});
+  SecProgram::LeafPlan plan;
+  plan.segments = segment_list(n.domain, n.section);
+  for (const FlatSegment& s : plan.segments) {
+    plan.size += s.count;
+    plan.bound = std::max(
+        plan.bound, 1 + std::max(s.base, s.base + (s.count - 1) * s.stride));
+  }
+  prog.plans_.push_back(std::move(plan));
+  return leaf;
+}
+
 void SecExpr::compile_node(const Node& n, SecProgram& prog, int& stack) {
+  using OpCode = SecProgram::OpCode;
   switch (n.op) {
     case Op::kConst:
-      prog.code_.push_back({SecProgram::OpCode::kConst, -1, n.value});
+      prog.code_.push_back({OpCode::kConst, -1, -1, n.value});
       prog.depth_ = std::max(prog.depth_, ++stack);
       return;
-    case Op::kLeaf: {
-      SecProgram::Inst inst;
-      inst.op = SecProgram::OpCode::kLeaf;
-      inst.leaf = static_cast<int>(prog.leaves_.size());
-      prog.leaves_.push_back(SecLeaf{n.array, n.bytes, &n.domain, &n.section});
-      SecProgram::LeafPlan plan;
-      plan.segments = segment_list(n.domain, n.section);
-      for (const FlatSegment& s : plan.segments) {
-        plan.size += s.count;
-        plan.bound = std::max(
-            plan.bound, 1 + std::max(s.base, s.base + (s.count - 1) * s.stride));
-      }
-      prog.plans_.push_back(std::move(plan));
-      prog.code_.push_back(inst);
+    case Op::kLeaf:
+      prog.code_.push_back({OpCode::kLeaf, compile_leaf(n, prog), -1, 0.0});
       prog.depth_ = std::max(prog.depth_, ++stack);
       return;
-    }
     default:
       break;
   }
-  // Binary node. A constant operand folds into a fused immediate op so no
-  // register is spent splatting it — x*0.25 is one multiply pass. The
-  // non-commutative reversed forms (c - x, c / x) get their own opcodes;
-  // IEEE semantics are exactly eval_node's (no reassociation, no
-  // reciprocal tricks), which the differential tests assert.
-  const bool lhs_const = n.lhs->op == Op::kConst;
-  const bool rhs_const = n.rhs->op == Op::kConst;
-  using OpCode = SecProgram::OpCode;
-  if (rhs_const && !lhs_const) {
-    compile_node(*n.lhs, prog, stack);
-    OpCode op = OpCode::kAddC;
+  // Binary node. Operands that need no register of their own fold into a
+  // fused op: a constant becomes an immediate (x*0.25 is one multiply
+  // pass) and a leaf is read in place from canonical storage (a + B is one
+  // add pass, B + C one pass that pushes the sum). The non-commutative
+  // reversed forms (c - x, c / x, B - x, B / x) get their own opcodes; the
+  // commutative ones swap operands, which IEEE addition and multiplication
+  // permit exactly. Semantics are exactly eval_node's (no reassociation, no
+  // reciprocal tricks, no FMA contraction), which the differential tests
+  // assert. Leaves are registered in tree order, so leaves() order holds.
+  auto pick = [&](OpCode add, OpCode sub, OpCode mul, OpCode div) {
     switch (n.op) {
-      case Op::kAdd: op = OpCode::kAddC; break;
-      case Op::kSub: op = OpCode::kSubC; break;
-      case Op::kMul: op = OpCode::kMulC; break;
-      case Op::kDiv: op = OpCode::kDivC; break;
+      case Op::kAdd: return add;
+      case Op::kSub: return sub;
+      case Op::kMul: return mul;
+      case Op::kDiv: return div;
       default: throw InternalError("unreachable section-expression op");
     }
-    prog.code_.push_back({op, -1, n.rhs->value});
+  };
+  const Op lop = n.lhs->op;
+  const Op rop = n.rhs->op;
+  if (rop == Op::kConst && lop != Op::kConst) {
+    compile_node(*n.lhs, prog, stack);
+    prog.code_.push_back({pick(OpCode::kAddC, OpCode::kSubC, OpCode::kMulC,
+                               OpCode::kDivC),
+                          -1, -1, n.rhs->value});
     return;
   }
-  if (lhs_const && !rhs_const) {
+  if (lop == Op::kConst && rop != Op::kConst) {
     compile_node(*n.rhs, prog, stack);
-    OpCode op = OpCode::kAddC;
-    switch (n.op) {
-      case Op::kAdd: op = OpCode::kAddC; break;
-      case Op::kSub: op = OpCode::kRSubC; break;
-      case Op::kMul: op = OpCode::kMulC; break;
-      case Op::kDiv: op = OpCode::kRDivC; break;
-      default: throw InternalError("unreachable section-expression op");
-    }
-    prog.code_.push_back({op, -1, n.lhs->value});
+    prog.code_.push_back({pick(OpCode::kAddC, OpCode::kRSubC, OpCode::kMulC,
+                               OpCode::kRDivC),
+                          -1, -1, n.lhs->value});
+    return;
+  }
+  if (lop == Op::kLeaf && rop == Op::kLeaf) {
+    const int a = compile_leaf(*n.lhs, prog);
+    const int b = compile_leaf(*n.rhs, prog);
+    prog.code_.push_back({pick(OpCode::kAddLL, OpCode::kSubLL, OpCode::kMulLL,
+                               OpCode::kDivLL),
+                          a, b, 0.0});
+    prog.depth_ = std::max(prog.depth_, ++stack);
+    return;
+  }
+  // Past this point neither operand is a constant unless both are.
+  if (rop == Op::kLeaf) {
+    compile_node(*n.lhs, prog, stack);
+    prog.code_.push_back({pick(OpCode::kAddL, OpCode::kSubL, OpCode::kMulL,
+                               OpCode::kDivL),
+                          compile_leaf(*n.rhs, prog), -1, 0.0});
+    return;
+  }
+  if (lop == Op::kLeaf) {
+    const int a = compile_leaf(*n.lhs, prog);  // before the rhs's leaves
+    compile_node(*n.rhs, prog, stack);
+    prog.code_.push_back({pick(OpCode::kAddL, OpCode::kRSubL, OpCode::kMulL,
+                               OpCode::kRDivL),
+                          a, -1, 0.0});
     return;
   }
   compile_node(*n.lhs, prog, stack);
   compile_node(*n.rhs, prog, stack);
-  OpCode op = OpCode::kAdd;
-  switch (n.op) {
-    case Op::kAdd: op = OpCode::kAdd; break;
-    case Op::kSub: op = OpCode::kSub; break;
-    case Op::kMul: op = OpCode::kMul; break;
-    case Op::kDiv: op = OpCode::kDiv; break;
-    default: throw InternalError("unreachable section-expression op");
-  }
-  prog.code_.push_back({op, -1, 0.0});
+  prog.code_.push_back(
+      {pick(OpCode::kAdd, OpCode::kSub, OpCode::kMul, OpCode::kDiv), -1, -1,
+       0.0});
   --stack;
 }
 
@@ -227,6 +248,62 @@ const SecProgram& SecExpr::program() const {
   return *prog;
 }
 
+namespace {
+
+// The pass kernels. Each applies one IEEE operation per element; the
+// unit-stride forms are the loops the compiler vectorizes, the general
+// forms also cover descending (negative) and broadcast (stride-0)
+// operands. Destinations are register slots or the caller's output
+// buffer, which never overlap operand storage (hence __restrict).
+
+template <class F>
+void update_leaf(double* __restrict a, const SecProgram::Operand& o,
+                 Extent count, F f) {
+  if (o.stride == 1) {
+    const double* __restrict b = o.ptr;
+    for (Extent k = 0; k < count; ++k) a[k] = f(a[k], b[k]);
+  } else if (o.stride == 0) {
+    const double b = o.ptr[0];
+    for (Extent k = 0; k < count; ++k) a[k] = f(a[k], b);
+  } else {
+    for (Extent k = 0; k < count; ++k) a[k] = f(a[k], o.ptr[k * o.stride]);
+  }
+}
+
+template <class F>
+void leaf_leaf(double* __restrict d, const SecProgram::Operand& x,
+               const SecProgram::Operand& y, Extent count, F f) {
+  if (x.stride == 1 && y.stride == 1) {
+    const double* __restrict a = x.ptr;
+    const double* __restrict b = y.ptr;
+    for (Extent k = 0; k < count; ++k) d[k] = f(a[k], b[k]);
+  } else {
+    for (Extent k = 0; k < count; ++k) {
+      d[k] = f(x.ptr[k * x.stride], y.ptr[k * y.stride]);
+    }
+  }
+}
+
+template <class F>
+void update_reg(double* __restrict a, const double* __restrict b, Extent count,
+                F f) {
+  for (Extent k = 0; k < count; ++k) a[k] = f(a[k], b[k]);
+}
+
+template <class F>
+void update_const(double* a, double c, Extent count, F f) {
+  for (Extent k = 0; k < count; ++k) a[k] = f(a[k], c);
+}
+
+constexpr auto kPlus = [](double x, double y) { return x + y; };
+constexpr auto kMinus = [](double x, double y) { return x - y; };
+constexpr auto kTimes = [](double x, double y) { return x * y; };
+constexpr auto kOver = [](double x, double y) { return x / y; };
+constexpr auto kMinusRev = [](double x, double y) { return y - x; };
+constexpr auto kOverRev = [](double x, double y) { return y / x; };
+
+}  // namespace
+
 void SecProgram::eval_segment(const Operand* operands, Extent count,
                               double* out, double* regs) const {
   // Register slot 0 is the output buffer itself, so the final result needs
@@ -253,66 +330,74 @@ void SecProgram::eval_segment(const Operand* operands, Extent count,
         }
         break;
       }
-      case OpCode::kAdd: {
-        const double* b = slot(--top);
-        double* a = slot(top - 1);
-        for (Extent k = 0; k < count; ++k) a[k] += b[k];
+      case OpCode::kAdd:
+        --top;
+        update_reg(slot(top - 1), slot(top), count, kPlus);
         break;
-      }
-      case OpCode::kSub: {
-        const double* b = slot(--top);
-        double* a = slot(top - 1);
-        for (Extent k = 0; k < count; ++k) a[k] -= b[k];
+      case OpCode::kSub:
+        --top;
+        update_reg(slot(top - 1), slot(top), count, kMinus);
         break;
-      }
-      case OpCode::kMul: {
-        const double* b = slot(--top);
-        double* a = slot(top - 1);
-        for (Extent k = 0; k < count; ++k) a[k] *= b[k];
+      case OpCode::kMul:
+        --top;
+        update_reg(slot(top - 1), slot(top), count, kTimes);
         break;
-      }
-      case OpCode::kDiv: {
-        const double* b = slot(--top);
-        double* a = slot(top - 1);
-        for (Extent k = 0; k < count; ++k) a[k] /= b[k];
+      case OpCode::kDiv:
+        --top;
+        update_reg(slot(top - 1), slot(top), count, kOver);
         break;
-      }
-      case OpCode::kAddC: {
-        double* a = slot(top - 1);
-        const double c = inst.value;
-        for (Extent k = 0; k < count; ++k) a[k] += c;
+      case OpCode::kAddC:
+        update_const(slot(top - 1), inst.value, count, kPlus);
         break;
-      }
-      case OpCode::kSubC: {
-        double* a = slot(top - 1);
-        const double c = inst.value;
-        for (Extent k = 0; k < count; ++k) a[k] -= c;
+      case OpCode::kSubC:
+        update_const(slot(top - 1), inst.value, count, kMinus);
         break;
-      }
-      case OpCode::kMulC: {
-        double* a = slot(top - 1);
-        const double c = inst.value;
-        for (Extent k = 0; k < count; ++k) a[k] *= c;
+      case OpCode::kMulC:
+        update_const(slot(top - 1), inst.value, count, kTimes);
         break;
-      }
-      case OpCode::kDivC: {
-        double* a = slot(top - 1);
-        const double c = inst.value;
-        for (Extent k = 0; k < count; ++k) a[k] /= c;
+      case OpCode::kDivC:
+        update_const(slot(top - 1), inst.value, count, kOver);
         break;
-      }
-      case OpCode::kRSubC: {
-        double* a = slot(top - 1);
-        const double c = inst.value;
-        for (Extent k = 0; k < count; ++k) a[k] = c - a[k];
+      case OpCode::kRSubC:
+        update_const(slot(top - 1), inst.value, count, kMinusRev);
         break;
-      }
-      case OpCode::kRDivC: {
-        double* a = slot(top - 1);
-        const double c = inst.value;
-        for (Extent k = 0; k < count; ++k) a[k] = c / a[k];
+      case OpCode::kRDivC:
+        update_const(slot(top - 1), inst.value, count, kOverRev);
         break;
-      }
+      case OpCode::kAddL:
+        update_leaf(slot(top - 1), operands[inst.leaf], count, kPlus);
+        break;
+      case OpCode::kSubL:
+        update_leaf(slot(top - 1), operands[inst.leaf], count, kMinus);
+        break;
+      case OpCode::kMulL:
+        update_leaf(slot(top - 1), operands[inst.leaf], count, kTimes);
+        break;
+      case OpCode::kDivL:
+        update_leaf(slot(top - 1), operands[inst.leaf], count, kOver);
+        break;
+      case OpCode::kRSubL:
+        update_leaf(slot(top - 1), operands[inst.leaf], count, kMinusRev);
+        break;
+      case OpCode::kRDivL:
+        update_leaf(slot(top - 1), operands[inst.leaf], count, kOverRev);
+        break;
+      case OpCode::kAddLL:
+        leaf_leaf(slot(top++), operands[inst.leaf], operands[inst.leaf2],
+                  count, kPlus);
+        break;
+      case OpCode::kSubLL:
+        leaf_leaf(slot(top++), operands[inst.leaf], operands[inst.leaf2],
+                  count, kMinus);
+        break;
+      case OpCode::kMulLL:
+        leaf_leaf(slot(top++), operands[inst.leaf], operands[inst.leaf2],
+                  count, kTimes);
+        break;
+      case OpCode::kDivLL:
+        leaf_leaf(slot(top++), operands[inst.leaf], operands[inst.leaf2],
+                  count, kOver);
+        break;
     }
   }
 }

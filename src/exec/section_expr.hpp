@@ -16,8 +16,14 @@
 // raw canonical-storage spans — constants fold into fused immediate ops,
 // unit-dimension leaves splat (stride-0 operands) — so the hot path of a
 // warm sweep touches no IndexTuple, no shared_ptr walk, and no
-// std::function. eval_serial is retained as the per-element reference
-// oracle the differential tests compare against.
+// std::function. Leaf operands of a binary op are read in place by fused
+// opcodes (top ∘= leaf, push leaf ∘ leaf) instead of being copied into a
+// register first, so the Jacobi right-hand side
+// (L + L + L + L) * 0.25 runs as four passes: LL, L, L, MulC. Every pass
+// applies exactly the tree's operation to the tree's operands in the tree's
+// association order — no reassociation, no FMA contraction — so values are
+// bit-identical to eval_serial, the per-element reference oracle the
+// differential tests compare against.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +71,8 @@ class SecProgram {
   int depth() const noexcept { return depth_; }
 
   /// The kernel: out[k] = expr(operands[l].ptr[k * operands[l].stride]) for
-  /// k in [0, count). `regs` must hold (depth() - 1) * count doubles.
+  /// k in [0, count). `regs` must hold (depth() - 1) * count doubles;
+  /// neither `out` nor `regs` may overlap operand storage.
   void eval_segment(const Operand* operands, Extent count, double* out,
                     double* regs) const;
 
@@ -73,6 +80,7 @@ class SecProgram {
   /// into out[0, total), reading canonical storage spans from `state` and
   /// chunking the register file through `arena.regs`. Leaves whose section
   /// holds a single element broadcast; any other size mismatch throws.
+  /// `out` must not overlap the operands' canonical storage.
   void eval(const ProgramState& state, ScratchArena& arena, Extent total,
             double* out) const;
 
@@ -85,10 +93,14 @@ class SecProgram {
     kAdd, kSub, kMul, kDiv,      // pop b, pop a, push a∘b
     kAddC, kSubC, kMulC, kDivC,  // top = top ∘ value (folded constant)
     kRSubC, kRDivC,              // top = value ∘ top
+    kAddL, kSubL, kMulL, kDivL,  // top = top ∘ leaf (read in place)
+    kRSubL, kRDivL,              // top = leaf ∘ top
+    kAddLL, kSubLL, kMulLL, kDivLL,  // push leaf ∘ leaf2
   };
   struct Inst {
     OpCode op = OpCode::kConst;
-    int leaf = -1;       // kLeaf: index into leaves_/plans_
+    int leaf = -1;       // kLeaf and the fused leaf ops: index into leaves_
+    int leaf2 = -1;      // the right operand of the leaf ∘ leaf ops
     double value = 0.0;  // kConst and the folded-constant ops
   };
   struct LeafPlan {
@@ -176,6 +188,7 @@ class SecExpr {
   static double eval_node(const Node& n, const ProgramState& state,
                           const IndexTuple& pos);
   static void compile_node(const Node& n, SecProgram& prog, int& stack);
+  static int compile_leaf(const Node& n, SecProgram& prog);
 
   std::shared_ptr<const Node> node_;
 };

@@ -11,9 +11,9 @@ std::string locate(const char* kind, const std::string& what, int line,
 }
 }  // namespace
 
-ConformanceError::ConformanceError(const std::string& what, int line,
-                                   int column)
-    : HpfError(locate("conformance error", what, line, column)),
+LocatedError::LocatedError(const char* kind, const std::string& what,
+                           int line, int column)
+    : HpfError(locate(kind, what, line, column)),
       message_(what),
       line_(line),
       column_(column) {}

@@ -18,23 +18,22 @@ class HpfError : public std::runtime_error {
   explicit HpfError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// A rule of the language model was violated (paper §2.4 constraints,
-/// DYNAMIC requirements, rank mismatches, skew alignments, ...).
-///
-/// Carries an optional source location (1-based line/column; 0 = unknown).
-/// Core-model code throws without a location; the directive front end
-/// (Binder::apply, Interpreter::exec_node) re-attaches the offending node's
-/// line on the way out, so script-level callers — and the static analyzer —
-/// can always point at the source. `message()` is the raw text without the
-/// location prefix `what()` gains once located.
-class ConformanceError : public HpfError {
+/// An HpfError with an optional source location (1-based line/column;
+/// 0 = unknown). Core-model code throws without a location; the directive
+/// front end (Binder::apply, Interpreter::exec_node) re-attaches the
+/// offending node's line on the way out, so script-level callers — and the
+/// static analyzer — can always point at the source. `message()` is the
+/// raw text without the location prefix `what()` gains once located.
+class LocatedError : public HpfError {
  public:
-  explicit ConformanceError(const std::string& what, int line = 0,
-                            int column = 0);
   int line() const noexcept { return line_; }
   int column() const noexcept { return column_; }
   bool located() const noexcept { return line_ > 0; }
   const std::string& message() const noexcept { return message_; }
+
+ protected:
+  LocatedError(const char* kind, const std::string& what, int line,
+               int column);
 
  private:
   std::string message_;
@@ -42,10 +41,22 @@ class ConformanceError : public HpfError {
   int column_;
 };
 
-/// An index or coordinate is outside the domain it was used with.
-class MappingError : public HpfError {
+/// A rule of the language model was violated (paper §2.4 constraints,
+/// DYNAMIC requirements, rank mismatches, skew alignments, ...).
+class ConformanceError : public LocatedError {
  public:
-  explicit MappingError(const std::string& what) : HpfError(what) {}
+  explicit ConformanceError(const std::string& what, int line = 0,
+                            int column = 0)
+      : LocatedError("conformance error", what, line, column) {}
+};
+
+/// An index, coordinate or subscript triplet is outside the domain it was
+/// used with, or malformed (a zero stride).
+class MappingError : public LocatedError {
+ public:
+  explicit MappingError(const std::string& what, int line = 0,
+                        int column = 0)
+      : LocatedError("mapping error", what, line, column) {}
 };
 
 /// Lexical, syntactic, or binding problem in a !HPF$ directive or script.

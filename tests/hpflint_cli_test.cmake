@@ -72,6 +72,27 @@ check("oversized line refused with one-line message" has_huge_msg GREATER -1)
 file(MAKE_DIRECTORY "${WORK_DIR}/a_directory.hpf")
 run_hpflint(2 "${WORK_DIR}/a_directory.hpf")
 
+# An exception no layer turns into a diagnostic still exits 2 with one
+# line, never an abort (134): a 2e9 x 2e9 array lints clean, but its
+# storage cannot be allocated when --exec runs it. (At 4e9 x 4e9 the
+# element count itself wraps int64, which the sanitizer job stops on.)
+file(WRITE "${WORK_DIR}/huge_array.hpf"
+  "REAL A(2000000000,2000000000)\n!HPF$ DISTRIBUTE A(BLOCK,BLOCK)\n")
+run_hpflint(2 --exec "${WORK_DIR}/huge_array.hpf")
+string(FIND "${err}" "hpflint: unexpected failure:" has_failure_msg)
+check("unallocatable --exec array exits 2 with one-line message"
+      has_failure_msg GREATER -1)
+
+# A mapping error raised while executing a statement names its line, as
+# the lint diagnostic of the same statement does.
+file(WRITE "${WORK_DIR}/zero_stride.hpf"
+  "REAL A(10)\nA(10:1:-1) = A(1:10:0)\n")
+run_hpflint(1 --exec "${WORK_DIR}/zero_stride.hpf")
+string(FIND "${out}" "zero_stride.hpf:2: error: [HF001]" has_lint_line)
+check("zero stride: lint reports line 2" has_lint_line GREATER -1)
+string(FIND "${err}" "failed: mapping error at 2:1: subscript triplet stride must be nonzero" has_exec_line)
+check("zero stride: execution error reports line 2" has_exec_line GREATER -1)
+
 # --- --json line schema -----------------------------------------------------
 run_hpflint(0 --json "${SCRIPTS}/bad_undershadow.hpf")
 string(REGEX REPLACE "\n$" "" json_out "${out}")

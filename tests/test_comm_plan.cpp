@@ -5,7 +5,12 @@
 // the 2nd..Nth iteration from the plan cache with zero ownership queries.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/layout_view.hpp"
@@ -452,22 +457,23 @@ TEST_F(PlanReplayTest, ContentSignatureCoverage) {
   const IndexDomain dom{Dim(1, 16)};
   const Distribution block = Distribution::formats(
       dom, {DistFormat::block()}, ProcessorRef(ps_.find("Q")));
-  EXPECT_TRUE(has_structural_signature(block));
+  EXPECT_TRUE(block.has_plan_signature());
   const Distribution over_block =
       Distribution::constructed(AlignmentFunction::identity(dom, dom), block);
-  EXPECT_TRUE(has_structural_signature(over_block));
+  EXPECT_TRUE(over_block.has_plan_signature());
   const Distribution nested = Distribution::constructed(
       AlignmentFunction::identity(dom, dom), over_block);
-  EXPECT_TRUE(has_structural_signature(nested));
+  EXPECT_TRUE(nested.has_plan_signature());
   const Distribution indirect = Distribution::formats(
       dom, {DistFormat::indirect(std::vector<Extent>(16, 1))},
       ProcessorRef(ps_.find("Q")));
-  EXPECT_TRUE(has_structural_signature(indirect));
-  EXPECT_TRUE(has_structural_signature(Distribution::constructed(
-      AlignmentFunction::identity(dom, dom), indirect)));
-  EXPECT_TRUE(has_structural_signature(block.materialize()));
+  EXPECT_TRUE(indirect.has_plan_signature());
+  EXPECT_TRUE(Distribution::constructed(AlignmentFunction::identity(dom, dom),
+                                        indirect)
+                  .has_plan_signature());
+  EXPECT_TRUE(block.materialize().has_plan_signature());
   EXPECT_TRUE(
-      has_structural_signature(Distribution::section_view(block, dom.dims())));
+      Distribution::section_view(block, dom.dims()).has_plan_signature());
 }
 
 namespace {
@@ -1025,6 +1031,163 @@ TEST_F(PlanReplayTest, RecycledPayloadAddressDoesNotReplayStalePlan) {
   // differ from the dead payload's, and the stale plan must not replay.
   EXPECT_NE(k2.str(), stale_key);
   EXPECT_EQ(cache.lookup(k2.str()), nullptr);
+}
+
+// --- memoized plan signatures ----------------------------------------------
+
+/// Every payload kind, minted fresh on each call: separately minted
+/// identical payloads must sign identically, and each payload's memo must
+/// hand back the same bytes on every call.
+class CommPlanSignatureMemoTest : public CommPlanTest {
+ protected:
+  std::vector<std::pair<std::string, Distribution>> mint_all() {
+    const IndexDomain dom{Dim(1, 24)};
+    const ProcessorRef q(ps_.find("Q"));
+    const Distribution block =
+        Distribution::formats(dom, {DistFormat::block()}, q);
+    auto shift = [&](Index1 by, const Distribution& base) {
+      std::vector<AlignmentFunction::BaseDim> dims(1);
+      dims[0].kind = AlignmentFunction::BaseDim::Kind::kExpr;
+      dims[0].alignee_dim = 0;
+      dims[0].expr = AlignExpr::dummy(0) + by;
+      return Distribution::constructed(AlignmentFunction(dom, dom, dims),
+                                       base);
+    };
+    const Distribution shifted = shift(3, block);
+    std::vector<Extent> map(24);
+    for (std::size_t i = 0; i < map.size(); ++i) {
+      map[i] = static_cast<Extent>(i * 5 % 8) + 1;
+    }
+    const Distribution view =
+        Distribution::section_view(block, {Triplet(2, 22, 2)});
+    std::vector<OwnerSet> table(24);
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      table[i].push_back(static_cast<ApId>(i % 3));
+      if (i % 4 == 0) table[i].push_back(7);
+    }
+    return {
+        {"block", block},
+        {"cyclic", Distribution::formats(dom, {DistFormat::cyclic(3)}, q)},
+        {"general_block",
+         Distribution::formats(
+             dom, {DistFormat::general_block_sizes({1, 5, 0, 4, 3, 3, 6, 2})},
+             q)},
+        {"indirect",
+         Distribution::formats(dom, {DistFormat::indirect(map)}, q)},
+        {"user_defined", owners_front_not_min(dom)},
+        {"identity_constructed",
+         Distribution::constructed(AlignmentFunction::identity(dom, dom),
+                                   block)},
+        {"shifted_constructed", shifted},
+        {"nested_constructed", shift(1, shifted)},
+        {"section_view", view},
+        {"nested_section_view",
+         Distribution::section_view(view, {Triplet(3, 9)})},
+        {"explicit", Distribution::explicit_map(dom, std::move(table))},
+    };
+  }
+};
+
+TEST_F(CommPlanSignatureMemoTest, EveryKindIsStableAcrossCallsAndMintings) {
+  const auto first = mint_all();
+  const auto second = mint_all();
+  ASSERT_EQ(first.size(), second.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    const std::string& name = first[i].first;
+    const Distribution& d = first[i].second;
+    const Distribution& twin = second[i].second;
+    ASSERT_NE(d.payload_identity(), twin.payload_identity()) << name;
+    const std::string& sig = d.plan_signature();
+    EXPECT_FALSE(sig.empty()) << name;
+    // Published once: every call returns the same bytes at the same place.
+    EXPECT_EQ(&d.plan_signature(), &sig) << name;
+    EXPECT_EQ(Distribution(d).plan_signature(), sig) << name;
+    // Content-keyed: an identical payload minted separately signs equal.
+    EXPECT_EQ(twin.plan_signature(), sig) << name;
+    // append_plan_signature is exactly one append of the memo.
+    std::string appended = "prefix";
+    d.append_plan_signature(appended);
+    EXPECT_EQ(appended, "prefix" + sig) << name;
+    // Distinct mappings never collide (an identity α signs as its base,
+    // which ComposedPayloadsEmbedTheirChildrensMemos pins).
+    if (name == "identity_constructed") continue;
+    for (std::size_t j = 0; j < i; ++j) {
+      EXPECT_NE(first[j].second.plan_signature(), sig)
+          << name << " vs " << first[j].first;
+    }
+  }
+}
+
+TEST_F(CommPlanSignatureMemoTest, ComposedPayloadsEmbedTheirChildrensMemos) {
+  const auto all = mint_all();
+  auto find = [&](const std::string& name) -> const Distribution& {
+    for (const auto& [n, d] : all) {
+      if (n == name) return d;
+    }
+    throw std::runtime_error("no payload " + name);
+  };
+  auto ends_with = [](const std::string& s, const std::string& tail) {
+    return s.size() > tail.size() &&
+           s.compare(s.size() - tail.size(), tail.size(), tail) == 0;
+  };
+  const Distribution& identity = find("identity_constructed");
+  // An identity α signs exactly as its base.
+  EXPECT_EQ(identity.plan_signature(), identity.base().plan_signature());
+  for (const char* name : {"shifted_constructed", "nested_constructed"}) {
+    const Distribution& c = find(name);
+    EXPECT_TRUE(ends_with(c.plan_signature(), c.base().plan_signature()))
+        << name;
+  }
+  for (const char* name : {"section_view", "nested_section_view"}) {
+    const Distribution& v = find(name);
+    EXPECT_TRUE(
+        ends_with(v.plan_signature(), v.section_parent().plan_signature()))
+        << name;
+  }
+}
+
+TEST_F(CommPlanSignatureMemoTest, KeyBuildersAppendTheMemosVerbatim) {
+  const auto all = mint_all();
+  const Distribution& from = all[1].second;  // cyclic
+  const Distribution& to = all[9].second;    // nested section view
+  const std::string key = remap_plan_key(from, to, 8);
+  PlanKey k;
+  k.add_tag("remap");
+  k.add_distribution(from);
+  k.add_distribution(to);
+  k.add_scalar(8);
+  EXPECT_EQ(key, k.str());
+  EXPECT_NE(key.find(from.plan_signature()), std::string::npos);
+  EXPECT_NE(key.find(to.plan_signature()), std::string::npos);
+}
+
+TEST_F(CommPlanSignatureMemoTest, TwoThreadFirstTouchPublishesOnce) {
+  // Two threads race to build the memo of fresh payloads: exactly one
+  // build is published, both threads see it, and its bytes equal those of
+  // an identical payload signed on one thread. The TSan job runs this.
+  for (int round = 0; round < 20; ++round) {
+    const auto payloads = mint_all();
+    const auto reference = mint_all();
+    std::atomic<int> ready{0};
+    std::vector<const std::string*> seen[2];
+    auto touch = [&](int t) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+      for (const auto& entry : payloads) {
+        seen[t].push_back(&entry.second.plan_signature());
+      }
+    };
+    std::thread a(touch, 0);
+    std::thread b(touch, 1);
+    a.join();
+    b.join();
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      EXPECT_EQ(seen[0][i], seen[1][i]) << payloads[i].first;
+      EXPECT_EQ(*seen[0][i], reference[i].second.plan_signature())
+          << payloads[i].first;
+    }
+  }
 }
 
 // --- segment lists shared across sections (the discharged ROADMAP item) -----

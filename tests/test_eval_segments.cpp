@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/data_env.hpp"
@@ -351,6 +352,185 @@ TEST(SecProgramDifferential, ProgramEvalMatchesEvalSerialDirectly) {
               expr.eval_serial(rig.seg, pos))
         << "position " << k;
   }
+}
+
+// --- Fused leaf opcodes ------------------------------------------------------
+
+// Operand placements of a 16-element leaf inside the 1-D array X(1:40):
+// unit stride, stride 2, descending (negative stride), and a single
+// element that broadcasts as a stride-0 operand.
+enum class Placement { kUnit, kStrided, kNegative, kBroadcast };
+
+std::vector<Triplet> place(Placement p, Index1 shift) {
+  switch (p) {
+    case Placement::kUnit:
+      return {Triplet(1 + shift, 16 + shift)};
+    case Placement::kStrided:
+      return {Triplet(1 + shift, 31 + shift, 2)};
+    case Placement::kNegative:
+      return {Triplet(38 - shift, 8 - shift, -2)};
+    case Placement::kBroadcast:
+      return {Triplet::single(7 + shift)};
+  }
+  return {};
+}
+
+const char* placement_name(Placement p) {
+  switch (p) {
+    case Placement::kUnit: return "unit";
+    case Placement::kStrided: return "strided";
+    case Placement::kNegative: return "negative";
+    case Placement::kBroadcast: return "broadcast";
+  }
+  return "?";
+}
+
+SecExpr apply_op(char op, SecExpr a, SecExpr b) {
+  switch (op) {
+    case '+': return std::move(a) + std::move(b);
+    case '-': return std::move(a) - std::move(b);
+    case '*': return std::move(a) * std::move(b);
+    default: return std::move(a) / std::move(b);
+  }
+}
+
+// Evaluates `expr` over `total` positions through the compiled program and
+// requires every value to be byte-equal to the per-element oracle, and the
+// program's leaves to be SecExpr::leaves() in content and order.
+void expect_matches_oracle(const ProgramState& state, ScratchArena& arena,
+                           const SecExpr& expr, Extent total,
+                           const std::string& what) {
+  const SecProgram& prog = expr.program();
+  const std::vector<SecLeaf> tree_leaves = expr.leaves();
+  ASSERT_EQ(prog.leaves().size(), tree_leaves.size()) << what;
+  for (std::size_t l = 0; l < tree_leaves.size(); ++l) {
+    EXPECT_EQ(prog.leaves()[l].array, tree_leaves[l].array) << what;
+    EXPECT_EQ(prog.leaves()[l].section, tree_leaves[l].section) << what;
+  }
+  std::vector<double> out(static_cast<std::size_t>(total));
+  prog.eval(state, arena, total, out.data());
+  for (Extent k = 0; k < total; ++k) {
+    IndexTuple pos;
+    pos.push_back(k + 1);
+    const double want = expr.eval_serial(state, pos);
+    const double got = out[static_cast<std::size_t>(k)];
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+        << what << " at position " << k << ": " << got << " vs " << want;
+  }
+}
+
+struct FusedRig {
+  FusedRig() {
+    x = &rig.env.real("X", IndexDomain{Dim(1, 40)});
+    y = &rig.env.real("Y", IndexDomain{Dim(1, 40)});
+    const ProcessorRef procs(rig.ps.find("P"));
+    rig.env.distribute(*x, {DistFormat::block()}, procs);
+    rig.env.distribute(*y, {DistFormat::cyclic(3)}, procs);
+    rig.create_both(*x, 31);
+    rig.create_both(*y, 32);
+  }
+
+  SecExpr leaf(const DistArray& a, Placement p, Index1 shift) const {
+    return SecExpr::section(a, place(p, shift));
+  }
+
+  TwinRig rig;
+  DistArray* x = nullptr;
+  DistArray* y = nullptr;
+};
+
+constexpr char kOps[] = {'+', '-', '*', '/'};
+constexpr Placement kPlacements[] = {Placement::kUnit, Placement::kStrided,
+                                     Placement::kNegative,
+                                     Placement::kBroadcast};
+
+TEST(SecProgramFusedOps, LeafOpLeafMatchesEvalSerial) {
+  FusedRig f;
+  for (char op : kOps) {
+    for (Placement pa : kPlacements) {
+      for (Placement pb : kPlacements) {
+        const SecExpr e =
+            apply_op(op, f.leaf(*f.x, pa, 0), f.leaf(*f.y, pb, 1));
+        expect_matches_oracle(
+            f.rig.seg, f.rig.seg.scratch(), e, 16,
+            std::string("X ") + op + " Y, " + placement_name(pa) + "/" +
+                placement_name(pb));
+      }
+    }
+  }
+}
+
+TEST(SecProgramFusedOps, ExprOpLeafAndLeafOpExprMatchEvalSerial) {
+  FusedRig f;
+  for (char op : kOps) {
+    for (Placement p : kPlacements) {
+      // A register-resident left operand (an expression over unit leaves)
+      // combined with a leaf read in place, in both operand orders.
+      const SecExpr inner = f.leaf(*f.y, Placement::kUnit, 2) * 1.5 -
+                            f.leaf(*f.x, Placement::kUnit, 3);
+      const SecExpr left = apply_op(op, inner, f.leaf(*f.x, p, 0));
+      expect_matches_oracle(f.rig.seg, f.rig.seg.scratch(), left, 16,
+                            std::string("expr ") + op + " leaf, " +
+                                placement_name(p));
+      const SecExpr right = apply_op(op, f.leaf(*f.x, p, 0), inner);
+      expect_matches_oracle(f.rig.seg, f.rig.seg.scratch(), right, 16,
+                            std::string("leaf ") + op + " expr, " +
+                                placement_name(p));
+    }
+  }
+}
+
+TEST(SecProgramFusedOps, ConstOpLeafAndLeafOpConstMatchEvalSerial) {
+  FusedRig f;
+  for (char op : kOps) {
+    for (Placement p : kPlacements) {
+      const SecExpr c = SecExpr::constant(-2.75);
+      expect_matches_oracle(f.rig.seg, f.rig.seg.scratch(),
+                            apply_op(op, c, f.leaf(*f.y, p, 0)), 16,
+                            std::string("const ") + op + " leaf, " +
+                                placement_name(p));
+      expect_matches_oracle(f.rig.seg, f.rig.seg.scratch(),
+                            apply_op(op, f.leaf(*f.y, p, 0), c), 16,
+                            std::string("leaf ") + op + " const, " +
+                                placement_name(p));
+    }
+  }
+}
+
+TEST(SecProgramFusedOps, LeafOrderSurvivesMixedFusion) {
+  // A tree mixing every fused form: the compiled leaves must be the tree's
+  // leaves in evaluation order (the executor prices operands by index).
+  FusedRig f;
+  const SecExpr a = f.leaf(*f.x, Placement::kUnit, 0);
+  const SecExpr b = f.leaf(*f.y, Placement::kStrided, 1);
+  const SecExpr c = f.leaf(*f.x, Placement::kNegative, 2);
+  const SecExpr d = f.leaf(*f.y, Placement::kBroadcast, 3);
+  const SecExpr e = (a - (b * c)) / (d + a) - SecExpr::constant(3.0) / c;
+  const std::vector<SecLeaf> leaves = e.program().leaves();
+  ASSERT_EQ(leaves.size(), 6u);
+  const std::vector<std::vector<Triplet>> want = {
+      place(Placement::kUnit, 0),     place(Placement::kStrided, 1),
+      place(Placement::kNegative, 2), place(Placement::kBroadcast, 3),
+      place(Placement::kUnit, 0),     place(Placement::kNegative, 2)};
+  const std::vector<ArrayId> arrays = {f.x->id(), f.y->id(), f.x->id(),
+                                       f.y->id(), f.x->id(), f.x->id()};
+  for (std::size_t l = 0; l < leaves.size(); ++l) {
+    EXPECT_EQ(*leaves[l].section, want[l]) << "leaf " << l;
+    EXPECT_EQ(leaves[l].array, arrays[l]) << "leaf " << l;
+  }
+  expect_matches_oracle(f.rig.seg, f.rig.seg.scratch(), e, 16, "mixed tree");
+}
+
+TEST(SecProgramFusedOps, JacobiRightHandSideNeedsNoRegisterFile) {
+  // (L + L + L + L) * 0.25 compiles to LL, L, L, MulC: the only live
+  // register is the output, so no leaf is ever copied into scratch.
+  FusedRig f;
+  auto leaf = [&](Index1 shift) {
+    return f.leaf(*f.x, Placement::kUnit, shift);
+  };
+  const SecExpr jacobi = (leaf(0) + leaf(2) + leaf(1) + leaf(3)) * 0.25;
+  EXPECT_EQ(jacobi.program().depth(), 1);
+  expect_matches_oracle(f.rig.seg, f.rig.seg.scratch(), jacobi, 16, "jacobi");
 }
 
 }  // namespace

@@ -27,10 +27,12 @@
 //   --dry-run    with --fix: print the planned edits, write nothing
 //
 // Exit status: 0 when no script has errors (nor warnings under --werror),
-// 1 when any does, 2 on usage or I/O problems. Notes never affect it.
+// 1 when any does, 2 on usage or I/O problems or an unexpected failure
+// (never an abort). Notes never affect it.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -331,9 +333,7 @@ int run_fix(const Options& opts, const std::string& file,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Options opts;
   if (!parse_args(argc, argv, &opts)) {
     usage(std::cerr);
@@ -428,4 +428,18 @@ int main(int argc, char** argv) {
   if (total_errors > 0 || io_status != 0) return 1;
   if (opts.werror && total_warnings > 0) return 1;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // The exit contract is 0/1/2, never an abort: an exception no layer
+  // turned into a diagnostic (an allocation the declared sizes cannot
+  // satisfy, say) is reported on one line and exits 2.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "hpflint: unexpected failure: " << e.what() << "\n";
+    return 2;
+  }
 }
