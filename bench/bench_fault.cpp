@@ -122,7 +122,7 @@ void differential_tripwire(Extent n) {
   }
   const CommEngine& free_comm = free_rig.state.comm();
   const CommEngine& fault_comm = fault_rig.state.comm();
-  // Per step the identity time == base + retry_us is exact (pinned in
+  // Per step the identity time == base + retry_us is exact (checked in
   // tests/test_fault.cpp); the cumulative totals sum the same numbers in
   // different association orders, so compare to a few ulps.
   const double expect = free_comm.total_time_us() + fault_comm.total_retry_us();

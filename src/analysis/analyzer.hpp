@@ -13,7 +13,7 @@
 // exec/overlap.hpp::classify_operand_comm — the same predicate that sets
 // the PlanTransfer::posted phase bits at plan-record time — so the static
 // report and the recorded plan's split-phase partition cannot diverge
-// (tests/test_analysis.cpp pins the equality differentially, leaf for
+// (tests/test_analysis.cpp checks the equality differentially, leaf for
 // leaf, against executed scripts).
 //
 // Diagnostic codes (stable; tests name them individually):

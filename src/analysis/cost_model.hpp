@@ -25,7 +25,7 @@
 // one deterministic order) the StepStats the interpreter's execution of
 // the same script seals, and a predicted plan key is the executor's cache
 // key, so predicted plan reuse is the PlanCache's observed hit pattern.
-// tests/test_cost_model.cpp pins both, statement for statement, over the
+// tests/test_cost_model.cpp checks both, statement for statement, over the
 // example corpus.
 //
 // Diagnostics (hpflint --cost surfaces them; see docs/analysis.md):

@@ -16,7 +16,7 @@
 //
 // Application is idempotent: the fixed source re-analyzes with no HS001,
 // so a second plan is empty and apply_fixes returns the input unchanged
-// (tests/test_cost_model.cpp pins this, and pins that the fixed script's
+// (tests/test_cost_model.cpp checks this, and checks that the fixed script's
 // predicted communication goes posted).
 #pragma once
 

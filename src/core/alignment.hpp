@@ -19,6 +19,7 @@
 // evaluable form stored on alignment-forest edges.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 

@@ -64,15 +64,6 @@ OwnerSet compose_dim_owners(
 // Payload hierarchy (internal).
 // ---------------------------------------------------------------------------
 
-namespace {
-
-std::uint64_t next_payload_generation() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-}  // namespace
-
 struct Distribution::Payload {
   virtual ~Payload() { delete signature.load(std::memory_order_acquire); }
 
@@ -84,9 +75,6 @@ struct Distribution::Payload {
   // Every input to the signature is fixed for the payload's lifetime, so
   // like the run-table memo it needs no invalidation.
   mutable std::atomic<const std::string*> signature{nullptr};
-
-  // Process-unique, never-reused id (see Distribution::payload_generation).
-  const std::uint64_t generation = next_payload_generation();
 
   virtual Kind kind() const = 0;
   virtual const IndexDomain& domain() const = 0;
@@ -582,10 +570,6 @@ bool Distribution::structurally_equal(const Distribution& other) const {
   return false;
 }
 
-bool Distribution::has_plan_signature() const noexcept {
-  return payload_ != nullptr;
-}
-
 const std::string& Distribution::plan_signature() const {
   // Lock-free once-publication, the rule SecExpr::program() follows:
   // concurrent first calls may each build the bytes, exactly one wins the
@@ -747,10 +731,6 @@ const std::vector<Triplet>& Distribution::section_triplets() const {
 }
 
 RunMemo& Distribution::run_memo() const { return payload().memo; }
-
-std::uint64_t Distribution::payload_generation() const noexcept {
-  return payload_ ? payload_->generation : 0;
-}
 
 std::string Distribution::to_string() const {
   return valid() ? payload().to_string() : "<undistributed>";

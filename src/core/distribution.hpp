@@ -183,23 +183,18 @@ class Distribution {
   /// false for mappings that are element-wise equal.)
   bool structurally_equal(const Distribution& other) const;
 
-  /// True when the payload's mapping is fully captured by a compact
-  /// *content* signature (append_plan_signature). Every payload kind now
-  /// qualifies: formats serialize their specification (INDIRECT and
-  /// user-defined formats digest their bound owner tables), constructed
-  /// payloads compose α with the base's signature, section views compose
-  /// the restricting triplets with the parent's signature, and explicit
-  /// payloads digest their owner table. False only for invalid
-  /// distributions.
-  bool has_plan_signature() const noexcept;
-
   /// The payload's content plan signature: a byte string equal for two
   /// distributions exactly when any priced communication schedule over
-  /// them is interchangeable — the PlanCache key component
+  /// them is interchangeable — the plan-cache key component
   /// (exec/comm_plan.hpp) that lets two payloads minted at different
   /// addresses (the fresh section-view dummy of every procedure call)
-  /// share one plan. Table-backed content enters as a 64-bit FNV-1a
-  /// digest, so signatures stay short for large owner tables. Memoized on
+  /// share one plan. Every payload kind has one: formats serialize their
+  /// specification (INDIRECT and user-defined formats digest their bound
+  /// owner tables), constructed payloads compose α with the base's
+  /// signature, section views compose the restricting triplets with the
+  /// parent's signature, and explicit payloads digest their owner table.
+  /// Table-backed content enters as a 64-bit FNV-1a digest, so signatures
+  /// stay short for large owner tables. Memoized on
   /// the immutable payload (built once, thread-safe; constructed and
   /// section-view payloads compose their children's memos), so a warm key
   /// build costs one append per distribution.
@@ -226,18 +221,11 @@ class Distribution {
   RunMemo& run_memo() const;
 
   /// Stable identity of the shared payload: equal iff two Distributions
-  /// share one payload. Used as a plan-cache key component for payload
-  /// kinds without a cheap structural signature (exec/comm_plan.hpp); the
-  /// cache pins the Distribution so the address cannot be recycled while a
-  /// keyed plan lives. Null for invalid distributions.
+  /// share one payload (the forest's derived-mapping memo checks that its
+  /// base is still current this way). Only meaningful while both payloads
+  /// live — a freed payload's address can be recycled — so plan keys never
+  /// use it; they key by plan_signature(). Null for invalid distributions.
   const void* payload_identity() const noexcept { return payload_.get(); }
-
-  /// Monotonically increasing id assigned to every payload at construction;
-  /// unique for the lifetime of the process, never reused. Keyed alongside
-  /// payload_identity() so a plan recorded against a destroyed payload can
-  /// never be replayed for a different payload that the allocator placed at
-  /// the same address (exec/comm_plan.hpp). 0 for invalid distributions.
-  std::uint64_t payload_generation() const noexcept;
 
   /// Human-readable description, e.g. "(BLOCK, CYCLIC(4)) TO PR".
   std::string to_string() const;

@@ -18,9 +18,8 @@
 //
 // A secondary's derived distribution CONSTRUCT(α, δ_B) is *cached* on the
 // node: repeated distribution_of calls return the same shared payload, so
-// the payload's memoized run tables (Distribution::run_memo) and any
-// address-keyed communication plans priced against it stay warm across
-// queries. Every mutation that can change a mapping — set_distribution,
+// the payload's memoized run tables (Distribution::run_memo) and plan
+// signature (Distribution::plan_signature) stay warm across queries. Every mutation that can change a mapping — set_distribution,
 // redistribute, realign, detachment, orphaning, removal — invalidates the
 // affected nodes' cached payloads (for a primary, its whole subtree's), so
 // a stale derived mapping can never be observed.

@@ -5,9 +5,31 @@
 
 namespace hpfnt {
 
+IndexDomain::IndexDomain(std::vector<Triplet> dims) : dims_(std::move(dims)) {
+  init_size();
+}
+
 IndexDomain::IndexDomain(std::initializer_list<Dim> dims) {
   dims_.reserve(dims.size());
   for (const Dim& d : dims) dims_.emplace_back(d.lower, d.upper);
+  init_size();
+}
+
+void IndexDomain::init_size() {
+  size_ = 1;
+  for (const Triplet& t : dims_) {
+    if (t.empty()) {
+      size_ = 0;
+      return;
+    }
+  }
+  for (const Triplet& t : dims_) {
+    if (__builtin_mul_overflow(size_, t.size(), &size_)) {
+      throw ConformanceError(cat("index domain ", to_string(),
+                                 " has more elements than an extent can "
+                                 "hold"));
+    }
+  }
 }
 
 IndexDomain IndexDomain::of_extents(const std::vector<Extent>& extents) {
@@ -15,12 +37,6 @@ IndexDomain IndexDomain::of_extents(const std::vector<Extent>& extents) {
   dims.reserve(extents.size());
   for (Extent e : extents) dims.emplace_back(1, e);
   return IndexDomain(std::move(dims));
-}
-
-Extent IndexDomain::size() const noexcept {
-  Extent total = 1;
-  for (const Triplet& t : dims_) total *= t.size();
-  return total;
 }
 
 bool IndexDomain::is_standard() const noexcept {
@@ -71,11 +87,6 @@ IndexTuple IndexDomain::delinearize(Extent position) const {
     position /= t.size();
   }
   return out;
-}
-
-void IndexDomain::for_each(
-    const std::function<void(const IndexTuple&)>& fn) const {
-  walk(fn);
 }
 
 void IndexDomain::validate_section(const std::vector<Triplet>& section) const {

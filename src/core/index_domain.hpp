@@ -13,7 +13,6 @@
 // segment-vectorized evaluation engine (exec/section_expr.hpp).
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -39,7 +38,9 @@ class IndexDomain {
   /// domain consisting of exactly one element").
   IndexDomain() = default;
 
-  explicit IndexDomain(std::vector<Triplet> dims) : dims_(std::move(dims)) {}
+  /// Throws ConformanceError when the product of the extents overflows
+  /// an Extent.
+  explicit IndexDomain(std::vector<Triplet> dims);
 
   IndexDomain(std::initializer_list<Dim> dims);
 
@@ -56,7 +57,7 @@ class IndexDomain {
   Extent extent(int d) const { return dim(d).size(); }
 
   /// Total number of indices (product of extents); 1 for rank-0.
-  Extent size() const noexcept;
+  Extent size() const noexcept { return size_; }
 
   bool empty() const noexcept { return size() == 0; }
 
@@ -76,12 +77,6 @@ class IndexDomain {
 
   /// Calls `fn` for every index in Fortran order (first dimension varies
   /// fastest). Rank-0 domains invoke `fn` once with the empty tuple.
-  void for_each(const std::function<void(const IndexTuple&)>& fn) const;
-
-  /// Same walk without the std::function indirection: the callback is a
-  /// template parameter, so hot loops inline it. The type-erased overload
-  /// above is kept for existing callers that already hold a std::function
-  /// (non-template overloads win overload resolution for those).
   template <typename Fn>
   void for_each(Fn&& fn) const {
     walk(fn);
@@ -151,7 +146,10 @@ class IndexDomain {
     }
   }
 
+  void init_size();
+
   std::vector<Triplet> dims_;
+  Extent size_ = 1;  // product of the extents, checked at construction
 };
 
 /// One maximal flat strided segment of a sectioned domain: `count` section

@@ -400,11 +400,4 @@ IndexTuple LayoutView::parent_index(const OwnerRun& run, Extent offset) const {
   return idx;
 }
 
-void for_each_common_segment(
-    const RunTable& a, const RunTable& b,
-    const std::function<void(Extent, Extent, const OwnerSet&,
-                             const OwnerSet&)>& fn) {
-  for_each_common_segment<decltype(fn)>(a, b, fn);
-}
-
 }  // namespace hpfnt

@@ -32,7 +32,6 @@
 #pragma once
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -125,14 +124,7 @@ class LayoutView {
   /// 0 <= offset < run.count).
   IndexTuple parent_index(const OwnerRun& run, Extent offset) const;
 
-  void for_each_run(const std::function<void(const OwnerRun&)>& fn) const {
-    for (const OwnerRun& r : table_->runs) fn(r);
-  }
-
-  /// Indirection-free variant: the callback is a template parameter, so
-  /// exec-layer hot loops inline it (the std::function overload above is
-  /// kept for callers that already hold one; non-template overloads win
-  /// for those).
+  /// Calls `fn` for every run, in table order.
   template <typename Fn>
   void for_each_run(Fn&& fn) const {
     for (const OwnerRun& r : table_->runs) fn(r);
@@ -145,16 +137,9 @@ class LayoutView {
 };
 
 /// Walks two run tables over the same linear position space in lock step,
-/// calling fn once per maximal segment on which both owner sets are
-/// constant. The tables must cover the same total size.
-void for_each_common_segment(
-    const RunTable& a, const RunTable& b,
-    const std::function<void(Extent begin, Extent count,
-                             const OwnerSet& owners_a,
-                             const OwnerSet& owners_b)>& fn);
-
-/// Indirection-free variant of the lock-step walk for hot loops (assign's
-/// cold pricing walks one of these per RHS operand); same contract.
+/// calling fn(begin, count, owners_a, owners_b) once per maximal segment on
+/// which both owner sets are constant. The tables must cover the same total
+/// size.
 template <typename Fn>
 void for_each_common_segment(const RunTable& a, const RunTable& b, Fn&& fn) {
   const Extent total = a.section_domain.size();

@@ -1,5 +1,7 @@
 #include "core/triplet.hpp"
 
+#include <limits>
+
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
@@ -9,6 +11,15 @@ Triplet::Triplet(Index1 lower, Index1 upper, Index1 stride)
     : lower_(lower), upper_(upper), stride_(stride) {
   if (stride == 0) {
     throw MappingError("subscript triplet stride must be nonzero");
+  }
+  // size() divides upper - lower + stride by the stride; reject a triplet
+  // whose span (or count) does not fit an Extent rather than let it wrap.
+  Index1 span = 0;
+  if (__builtin_sub_overflow(upper, lower, &span) ||
+      __builtin_add_overflow(span, stride, &span) ||
+      (stride == -1 && span == std::numeric_limits<Index1>::min())) {
+    throw MappingError(cat("subscript triplet ", to_string(),
+                           " has more indices than an extent can hold"));
   }
 }
 

@@ -21,7 +21,8 @@ class Triplet {
   /// [lower : upper] with stride 1.
   Triplet(Index1 lower, Index1 upper) : Triplet(lower, upper, 1) {}
 
-  /// [lower : upper : stride]; throws MappingError when stride == 0.
+  /// [lower : upper : stride]; throws MappingError when stride == 0 or
+  /// when the index count overflows an Extent.
   Triplet(Index1 lower, Index1 upper, Index1 stride);
 
   /// Triplet holding the single index i, i.e. [i:i:1].

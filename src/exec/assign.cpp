@@ -133,7 +133,6 @@ AssignResult assign_impl(ProgramState& state, const Distribution& lhs_dist,
 
   PlanCache& plans = state.plans();
   std::string key;
-  std::vector<Distribution> pins;
   if (plans.enabled()) {
     // The shared key builder (exec/comm_plan.cpp) — the same call the
     // static cost model makes over Binder-bound layouts, so predicted plan
@@ -146,8 +145,7 @@ AssignResult assign_impl(ProgramState& state, const Distribution& lhs_dist,
                             leaf.bytes, posted[l] != 0,
                             &state.shadow_of(leaf.array)});
     }
-    key = assign_plan_key(lhs_dist, lhs_section, bytes, flops, key_leaves,
-                          &pins);
+    key = assign_plan_key(lhs_dist, lhs_section, bytes, flops, key_leaves);
   }
 
   AssignResult result;
@@ -183,9 +181,7 @@ AssignResult assign_impl(ProgramState& state, const Distribution& lhs_dist,
                        comm);
     result.step = comm.end_step();
     guard.dismiss();
-    if (plans.enabled()) {
-      state.publish_plan(key, std::move(rec), std::move(pins));
-    }
+    if (plans.enabled()) state.publish_plan(key, std::move(rec));
 
     result.ownership_queries = lhs_view.ownership_queries();
     for (const LayoutView& v : leaf_views) {

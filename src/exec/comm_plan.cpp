@@ -42,28 +42,10 @@ void PlanKey::add_section(const std::vector<Triplet>& section) {
 }
 
 void PlanKey::add_distribution(const Distribution& dist) {
-  if (dist.has_plan_signature()) {
-    dist.append_plan_signature(key_);
-    return;
-  }
-  // Fallback for payload kinds without a content signature (none today).
-  // Address keying alone would alias if the payload died and a different
-  // one were allocated at the same address; the process-unique generation
-  // id makes the key valid for exactly one payload lifetime. The pin keeps
-  // the payload (and its run-table memo) alive while the plan does.
-  key_ += 'P';
-  append_raw(key_, dist.payload_identity());
-  append_raw(key_, static_cast<Extent>(dist.payload_generation()));
-  pins_.push_back(dist);
+  dist.append_plan_signature(key_);
 }
 
 namespace {
-
-void take_pins_into(PlanKey& k, std::vector<Distribution>* pins) {
-  if (pins) {
-    *pins = k.take_pins();
-  }
-}
 
 // Byte counts of the PlanKey fields, for sizing a key's buffer once. They
 // mirror the append calls above; an undercount only costs a regrowth.
@@ -74,8 +56,7 @@ std::size_t section_bytes(const std::vector<Triplet>& section) {
 }
 
 std::size_t signature_bytes(const Distribution& dist) {
-  return dist.has_plan_signature() ? dist.plan_signature().size()
-                                   : 1 + 2 * sizeof(Extent);
+  return dist.plan_signature().size();
 }
 
 }  // namespace
@@ -83,8 +64,7 @@ std::size_t signature_bytes(const Distribution& dist) {
 std::string assign_plan_key(const Distribution& lhs_dist,
                             const std::vector<Triplet>& lhs_section,
                             Extent elem_bytes, Extent flops,
-                            const std::vector<AssignKeyLeaf>& leaves,
-                            std::vector<Distribution>* pins) {
+                            const std::vector<AssignKeyLeaf>& leaves) {
   std::size_t capacity = sizeof("assign;") + signature_bytes(lhs_dist) +
                          section_bytes(lhs_section) + 2 * kScalarBytes;
   for (const AssignKeyLeaf& leaf : leaves) {
@@ -117,20 +97,17 @@ std::string assign_plan_key(const Distribution& lhs_dist,
       }
     }
   }
-  take_pins_into(k, pins);
   return k.take();
 }
 
 std::string remap_plan_key(const Distribution& from, const Distribution& to,
-                           Extent elem_bytes,
-                           std::vector<Distribution>* pins) {
+                           Extent elem_bytes) {
   PlanKey k(sizeof("remap;") + signature_bytes(from) + signature_bytes(to) +
             kScalarBytes);
   k.add_tag("remap");
   k.add_distribution(from);
   k.add_distribution(to);
   k.add_scalar(elem_bytes);
-  take_pins_into(k, pins);
   return k.take();
 }
 
@@ -138,8 +115,7 @@ std::string copy_plan_key(const Distribution& dst_dist,
                           const std::vector<Triplet>& dst_section,
                           const Distribution& src_dist,
                           const std::vector<Triplet>& src_section,
-                          Extent elem_bytes,
-                          std::vector<Distribution>* pins) {
+                          Extent elem_bytes) {
   PlanKey k(sizeof("copy;") + signature_bytes(dst_dist) +
             section_bytes(dst_section) + signature_bytes(src_dist) +
             section_bytes(src_section) + kScalarBytes);
@@ -149,19 +125,76 @@ std::string copy_plan_key(const Distribution& dst_dist,
   k.add_distribution(src_dist);
   k.add_section(src_section);
   k.add_scalar(elem_bytes);
-  take_pins_into(k, pins);
   return k.take();
 }
 
-std::shared_ptr<const CommPlan> PlanCache::lookup(const std::string& key) {
+PlanTable::PlanTable(std::size_t capacity)
+    : capacity_(capacity < 1 ? 1 : capacity) {}
+
+std::shared_ptr<const CommPlan> PlanTable::lookup(
+    const std::string& key, const std::vector<ApId>& failed) {
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     ++misses_;
     return nullptr;
   }
+  Entry& e = it->second;
+  if (e.plan->references_any(failed)) {
+    lru_.erase(e.pos);
+    entries_.erase(it);
+    ++invalidations_;
+    ++misses_;
+    return nullptr;
+  }
   ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second.pos);  // promote to front
-  return it->second.plan;
+  lru_.splice(lru_.begin(), lru_, e.pos);  // promote to front
+  return e.plan;
+}
+
+void PlanTable::insert(const std::string& key,
+                       std::shared_ptr<const CommPlan> plan) {
+  if (!plan || !plan->sealed) return;  // never cache an unsealed schedule
+  ++inserts_;
+  auto it = entries_.find(key);
+  if (it != entries_.end()) {
+    // Same key, same content: the plans are interchangeable, so a refresh
+    // (a racing session, a back-fill) is only bookkeeping.
+    it->second.plan = std::move(plan);
+    lru_.splice(lru_.begin(), lru_, it->second.pos);
+    return;
+  }
+  // Evict the least-recently-used entry, not the whole table: a loop that
+  // keeps inserting one-shot plans must not wipe out the plans other
+  // arrays in the same loop are replaying, and the replayed (recently
+  // touched) plans are exactly the ones LRU order protects. An unlucky
+  // eviction of a hot plan just re-prices one step.
+  evict_to(capacity_ - 1);
+  lru_.push_front(key);
+  entries_.emplace(key, Entry{std::move(plan), lru_.begin()});
+}
+
+void PlanTable::evict_to(std::size_t bound) {
+  while (entries_.size() > bound) {
+    entries_.erase(lru_.back());
+    lru_.pop_back();
+    ++evictions_;
+  }
+}
+
+void PlanTable::set_capacity(std::size_t capacity) {
+  capacity_ = capacity < 1 ? 1 : capacity;
+  evict_to(capacity_);
+}
+
+void PlanTable::clear() {
+  entries_.clear();
+  lru_.clear();
+}
+
+void PlanTable::for_each(
+    const std::function<void(const std::string&, const CommPlan&)>& fn)
+    const {
+  for (const auto& [key, entry] : entries_) fn(key, *entry.plan);
 }
 
 std::shared_ptr<const CommPlan> PlanCache::lookup(const std::string& key,
@@ -169,76 +202,7 @@ std::shared_ptr<const CommPlan> PlanCache::lookup(const std::string& key,
   // One consistent snapshot for the whole check; a concurrent epoch bump
   // is seen wholly or not at all (machine/topology.hpp).
   const std::shared_ptr<const FailureSet> snap = topo.failures();
-  if (!snap->any()) return lookup(key);
-
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  Entry& e = it->second;
-  if (e.validated_epoch != snap->epoch) {
-    if (e.plan->references_any(snap->failed)) {
-      // The schedule names a dead processor: drop it so it can never
-      // replay. The caller re-prices against the surviving topology and
-      // re-inserts under the same key if the layouts still produce it.
-      lru_.erase(e.pos);
-      entries_.erase(it);
-      ++invalidations_;
-      ++misses_;
-      return nullptr;
-    }
-    e.validated_epoch = snap->epoch;  // fast path for repeat lookups
-  }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, e.pos);
-  return e.plan;
-}
-
-void PlanCache::insert(const std::string& key,
-                       std::shared_ptr<const CommPlan> plan,
-                       std::vector<Distribution> pinned) {
-  if (!plan || !plan->sealed) return;  // never cache an unsealed schedule
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    it->second.plan = std::move(plan);
-    it->second.pinned = std::move(pinned);
-    lru_.splice(lru_.begin(), lru_, it->second.pos);
-    return;
-  }
-  // Evict the least-recently-used entry, not the whole cache: a loop that
-  // keeps inserting one-shot plans must not wipe out the plans other
-  // arrays in the same loop are replaying, and the replayed (recently
-  // touched) plans are exactly the ones LRU order protects. An unlucky
-  // eviction of a hot plan just re-prices one step.
-  while (entries_.size() >= capacity_) {
-    entries_.erase(lru_.back());
-    lru_.pop_back();
-    ++evictions_;
-  }
-  lru_.push_front(key);
-  entries_.emplace(key, Entry{std::move(plan), std::move(pinned),
-                              lru_.begin()});
-}
-
-void PlanCache::set_capacity(std::size_t capacity) {
-  capacity_ = capacity < 1 ? 1 : capacity;
-  while (entries_.size() > capacity_) {
-    entries_.erase(lru_.back());
-    lru_.pop_back();
-    ++evictions_;
-  }
-}
-
-void PlanCache::clear() {
-  entries_.clear();
-  lru_.clear();
-}
-
-void PlanCache::for_each(
-    const std::function<void(const std::string&, const CommPlan&)>& fn)
-    const {
-  for (const auto& [key, entry] : entries_) fn(key, *entry.plan);
+  return lookup(key, snap->failed);
 }
 
 }  // namespace hpfnt

@@ -12,12 +12,12 @@
 // the step from the sealed statistics alone — byte-identical StepStats and
 // cumulative counters, zero ownership queries, no common-segment walk.
 //
-// A PlanCache (one per ProgramState) memoizes plans keyed on the
-// participating distributions' *content* signatures
+// Plans are keyed on the participating distributions' *content* signatures
 // (Distribution::append_plan_signature), the section triplets, and the
-// scalar pricing inputs (elem_bytes, flops). Every payload kind keys by
-// content, so structurally identical layouts minted at different addresses
-// share one plan:
+// scalar pricing inputs (elem_bytes, flops). A mapping is a static function
+// of its specification, so every payload kind keys by value and
+// structurally identical layouts minted at different addresses share one
+// plan:
 //
 //   * pure-format payloads serialize (domain, formats, target); the
 //     alternating source/destination of a Jacobi sweep share one plan and
@@ -37,25 +37,18 @@
 //   * explicit payloads digest their (canonicalized) owner table.
 //
 // Each payload's signature is built once and memoized on the immutable
-// payload (Distribution::plan_signature), so a warm statement's key build
-// is one append per participating distribution.
+// payload (Distribution::plan_signature), so a warm key build is one
+// append per participating distribution.
 //
-// Address + process-unique generation-id keying (with the Distribution
-// pinned by the entry) survives only as the fallback for a payload kind
-// without a signature — none today.
-//
-// The cache is a size-bounded LRU: lookups promote, inserts evict the
-// least-recently-used entry, and hit/miss/evict counters are exposed for
-// the benches. Long interp sessions that churn section-view dummies
-// therefore stay bounded no matter how many distinct schedules they price.
-//
-// The PlanCache is also the L1 of a two-level hierarchy: because every key
-// is a pure content signature, a sealed plan is valid for ANY session whose
-// layouts match, and ProgramState::lookup_plan/publish_plan consult a
-// process-wide sharded PlanService (service/plan_service.hpp) as the shared
-// L2 behind this cache — an L1 miss takes one shard lock, a service hit
-// back-fills the L1, and a cold miss publishes the freshly priced plan to
-// both levels.
+// A PlanTable is the one size-bounded LRU of sealed plans: lookups promote,
+// inserts evict the least-recently-used entry, and a plan that references a
+// failed processor is erased at lookup. Both cache levels are built from
+// it. The session-local PlanCache (one per ProgramState) is an unlocked
+// PlanTable — the L1. The process-wide PlanService
+// (service/plan_service.hpp) is S mutex-guarded PlanTable shards — the
+// shared L2. ProgramState::lookup_plan/publish_plan consult them in order:
+// an L1 miss takes one shard lock, a service hit back-fills the L1, and a
+// cold miss publishes the freshly priced plan to both levels.
 //
 // Consulted by assign_impl (exec/assign.cpp), ProgramState::copy_section,
 // and ProgramState::apply_remap (exec/storage.cpp) — the latter two carry
@@ -130,9 +123,9 @@ struct CommPlan {
   Extent local_reads = 0;        ///< reads satisfied without a message
   std::vector<PlanMemOp> mem_ops;  ///< remap only, in charge order
   /// Sorted-unique processors the schedule touches (transfer endpoints,
-  /// compute and memory charges), filled at seal. The epoch-checked cache
-  /// lookups intersect this with the machine's failed set: a plan that
-  /// references a dead processor must never replay.
+  /// compute and memory charges), filled at seal. PlanTable::lookup
+  /// intersects this with the machine's failed set: a plan that references
+  /// a dead processor must never replay.
   std::vector<ApId> referenced_procs;
   StepStats stats;                 ///< sealed by CommEngine::end_step
   bool sealed = false;
@@ -143,11 +136,10 @@ struct CommPlan {
 };
 
 /// Builds the cache key of one priced step from its pricing inputs. Every
-/// distribution the schedule depends on must be added; payloads with a
-/// content signature (all of them today) key by value so structurally
-/// equal layouts share plans, anything else keys by address + generation
-/// id and is collected as a pin. The key builders size the buffer once up
-/// front and move the finished key out with take().
+/// distribution the schedule depends on must be added; each keys by its
+/// content signature, so structurally equal layouts share plans. The key
+/// builders size the buffer once up front and move the finished key out
+/// with take().
 class PlanKey {
  public:
   explicit PlanKey(std::size_t capacity = 256) { key_.reserve(capacity); }
@@ -160,11 +152,9 @@ class PlanKey {
   const std::string& str() const noexcept { return key_; }
   /// Moves the finished key out; the builder is empty afterwards.
   std::string take() noexcept { return std::move(key_); }
-  std::vector<Distribution> take_pins() { return std::move(pins_); }
 
  private:
   std::string key_;
-  std::vector<Distribution> pins_;
 };
 
 /// One RHS operand's contribution to an assignment plan key: its layout,
@@ -185,54 +175,49 @@ struct AssignKeyLeaf {
 /// (analysis/cost_model.hpp). Because both sides call the same builder
 /// over content signatures (address-free for every payload kind today),
 /// the cost model's predicted plan sharing is the executor's plan sharing
-/// by construction; tests/test_cost_model.cpp pins the key-for-key match
-/// against the PlanCache anyway. `pins`, when non-null, collects any
-/// address-keyed Distributions (none today) for PlanCache::insert.
+/// by construction; tests/test_cost_model.cpp checks the key-for-key match
+/// against the PlanCache anyway.
 std::string assign_plan_key(const Distribution& lhs_dist,
                             const std::vector<Triplet>& lhs_section,
                             Extent elem_bytes, Extent flops,
-                            const std::vector<AssignKeyLeaf>& leaves,
-                            std::vector<Distribution>* pins = nullptr);
+                            const std::vector<AssignKeyLeaf>& leaves);
 std::string remap_plan_key(const Distribution& from, const Distribution& to,
-                           Extent elem_bytes,
-                           std::vector<Distribution>* pins = nullptr);
+                           Extent elem_bytes);
 std::string copy_plan_key(const Distribution& dst_dist,
                           const std::vector<Triplet>& dst_section,
                           const Distribution& src_dist,
                           const std::vector<Triplet>& src_section,
-                          Extent elem_bytes,
-                          std::vector<Distribution>* pins = nullptr);
+                          Extent elem_bytes);
 
-/// Size-bounded LRU memo of sealed plans, keyed by PlanKey strings.
-/// Lookups promote the entry to most-recently-used; inserts evict from the
-/// LRU tail, so the replayed plans of a hot loop are exactly the ones that
-/// survive. Entries pin any address-keyed Distributions they were priced
-/// from, so a payload address in a key can never be recycled while its
-/// plan is alive. Hit/miss/evict counters are exposed for the benches.
-class PlanCache {
+/// Size-bounded LRU memo of sealed plans, keyed by PlanKey strings. Not
+/// synchronized: the L1 PlanCache is one session's, and the L2 PlanService
+/// guards each of its tables with a shard mutex. Lookups promote the entry
+/// to most-recently-used; inserts evict from the LRU tail, so the replayed
+/// plans of a hot loop are exactly the ones that survive. Counters are
+/// monotonic: clear() drops entries but never rewinds one.
+class PlanTable {
  public:
-  /// The sealed plan for `key`, or null. Counts a hit or a miss.
-  std::shared_ptr<const CommPlan> lookup(const std::string& key);
+  static constexpr std::size_t kDefaultCapacity = 64;
 
-  /// Epoch-checked lookup (src/fault/): on a machine with failed
-  /// processors, an entry whose plan references any of them is erased and
-  /// the lookup misses — a stale schedule must never replay after
-  /// fail_processor. Entries surviving the check are stamped with the
-  /// machine's topology epoch so repeat lookups at the same epoch skip the
-  /// intersection; a machine with no failures takes the plain lookup path
-  /// unchanged.
-  std::shared_ptr<const CommPlan> lookup(const std::string& key,
-                                         const Machine& topo);
+  explicit PlanTable(std::size_t capacity = kDefaultCapacity);
 
-  void insert(const std::string& key, std::shared_ptr<const CommPlan> plan,
-              std::vector<Distribution> pinned);
+  /// The sealed plan for `key`, or null. Counts a hit or a miss. The one
+  /// stale-plan rule of both cache levels: a plan that references any
+  /// processor in `failed` (sorted ascending) is erased and the lookup
+  /// misses, so a stale schedule never replays after fail_processor. The
+  /// caller re-prices against the surviving topology and re-inserts under
+  /// the same key if the layouts still produce it.
+  std::shared_ptr<const CommPlan> lookup(
+      const std::string& key, const std::vector<ApId>& failed = {});
 
-  /// Caching can be disabled (benchmark baselines price every step cold).
-  bool enabled() const noexcept { return enabled_; }
-  void set_enabled(bool on) noexcept { enabled_ = on; }
+  /// Stores a sealed plan (null and unsealed plans are ignored). Inserting
+  /// an existing key refreshes the entry and promotes it; both count as an
+  /// insert.
+  void insert(const std::string& key, std::shared_ptr<const CommPlan> plan);
 
   Extent hits() const noexcept { return hits_; }
   Extent misses() const noexcept { return misses_; }
+  Extent inserts() const noexcept { return inserts_; }
   Extent evictions() const noexcept { return evictions_; }
   Extent invalidations() const noexcept { return invalidations_; }
   std::size_t size() const noexcept { return entries_.size(); }
@@ -242,6 +227,7 @@ class PlanCache {
   std::size_t capacity() const noexcept { return capacity_; }
   void set_capacity(std::size_t capacity);
 
+  /// Drops every entry; the counters keep their values.
   void clear();
 
   /// Visits every cached plan (test/diagnostic use).
@@ -250,23 +236,38 @@ class PlanCache {
       const;
 
  private:
-  static constexpr std::size_t kDefaultCapacity = 64;
-
   struct Entry {
     std::shared_ptr<const CommPlan> plan;
-    std::vector<Distribution> pinned;
     std::list<std::string>::iterator pos;  // position in lru_
-    Extent validated_epoch = 0;  // last topology epoch the plan survived
   };
 
-  bool enabled_ = true;
-  std::size_t capacity_ = kDefaultCapacity;
+  void evict_to(std::size_t bound);
+
+  std::size_t capacity_;
   Extent hits_ = 0;
   Extent misses_ = 0;
+  Extent inserts_ = 0;
   Extent evictions_ = 0;
   Extent invalidations_ = 0;
   std::list<std::string> lru_;  // front = most recently used
   std::unordered_map<std::string, Entry> entries_;
+};
+
+/// The session-local (L1) plan cache: a PlanTable that can be switched off
+/// (benchmark baselines price every step cold).
+class PlanCache : public PlanTable {
+ public:
+  using PlanTable::lookup;
+
+  /// lookup() against the machine's current failure set, read once.
+  std::shared_ptr<const CommPlan> lookup(const std::string& key,
+                                         const Machine& topo);
+
+  bool enabled() const noexcept { return enabled_; }
+  void set_enabled(bool on) noexcept { enabled_ = on; }
+
+ private:
+  bool enabled_ = true;
 };
 
 }  // namespace hpfnt

@@ -13,7 +13,7 @@
 // cost model's predictions differential BY CONSTRUCTION: the predicted
 // charge stream, the predicted plan key, and the predicted StepStats are
 // produced by the same code the executor runs, so they cannot drift —
-// tests/test_cost_model.cpp pins the byte-exact equality anyway.
+// tests/test_cost_model.cpp checks the byte-exact equality anyway.
 //
 // The Engine concept: transfer_block(src, dst, elem_bytes, count),
 // count_local_reads(n), compute(p, flops), begin_posted(), end_posted().
@@ -59,7 +59,7 @@ void charge_assign_step(const LayoutView& lhs_view,
     const Extent bytes = leaf_bytes[l];
     if (leaf_view.size() != lhs_view.size()) {
       // Conformance admits an empty squeezed RHS shape: a single-element
-      // leaf (all unit dimensions, pinned at position 1) broadcast over
+      // leaf (all unit dimensions, fixed at position 1) broadcast over
       // the whole LHS section. Every LHS element reads that one element.
       if (leaf_view.size() != 1) {
         throw InternalError("nonconforming operand run table in assignment");

@@ -29,7 +29,7 @@ std::shared_ptr<const CommPlan> ProgramState::lookup_plan(
             service_->lookup(key, *machine_)) {
       // Back-fill the session L1 so this session's next touch of the key
       // replays without a shard lock (the warm path of a hot loop).
-      plans_.insert(key, plan, {});
+      plans_.insert(key, plan);
       return plan;
     }
   }
@@ -37,11 +37,10 @@ std::shared_ptr<const CommPlan> ProgramState::lookup_plan(
 }
 
 void ProgramState::publish_plan(const std::string& key,
-                                std::shared_ptr<const CommPlan> plan,
-                                std::vector<Distribution> pinned) {
-  if (!plans_.enabled() || !plan || !plan->sealed) return;
-  if (service_) service_->insert(key, plan, pinned);
-  plans_.insert(key, std::move(plan), std::move(pinned));
+                                std::shared_ptr<const CommPlan> plan) {
+  if (!plans_.enabled()) return;
+  if (service_) service_->insert(key, plan);
+  plans_.insert(key, std::move(plan));
 }
 
 ProgramState::Store& ProgramState::store(ArrayId id) {
@@ -318,10 +317,9 @@ StepStats ProgramState::apply_remap(const RemapEvent& event,
   // and the element size: a recurring remap — the flip-flop of an
   // iterative REDISTRIBUTE — replays its plan.
   std::string key;
-  std::vector<Distribution> pins;
   const bool cacheable = plans_.enabled();
   if (cacheable) {
-    key = remap_plan_key(event.from, event.to, s.elem_bytes, &pins);
+    key = remap_plan_key(event.from, event.to, s.elem_bytes);
     if (std::shared_ptr<const CommPlan> plan = lookup_plan(key)) {
       // Replay FIRST: it is the only throwing operation on this path (an
       // exhausted retry budget under fault injection), and nothing has
@@ -386,7 +384,7 @@ StepStats ProgramState::apply_remap(const RemapEvent& event,
   }
   s.dist = event.to;
   account_shadow(s, /*allocate=*/true);
-  if (cacheable) publish_plan(key, std::move(rec), std::move(pins));
+  if (cacheable) publish_plan(key, std::move(rec));
   return step;
 }
 
@@ -410,11 +408,10 @@ StepStats ProgramState::copy_section(const DistArray& dst,
   }
 
   std::string key;
-  std::vector<Distribution> pins;
   const bool cacheable = plans_.enabled();
   if (cacheable) {
     key = copy_plan_key(d.dist, dst_section, s.dist, src_section,
-                        d.elem_bytes, &pins);
+                        d.elem_bytes);
   }
 
   // RHS snapshot first (Fortran semantics for overlapping sections), one
@@ -449,7 +446,7 @@ StepStats ProgramState::copy_section(const DistArray& dst,
     charge_copy_step(dst_view, src_view, d.elem_bytes, comm_);
     step = comm_.end_step();
     guard.dismiss();
-    if (cacheable) publish_plan(key, std::move(rec), std::move(pins));
+    if (cacheable) publish_plan(key, std::move(rec));
   }
 
   Extent written = 0;

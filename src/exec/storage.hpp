@@ -78,8 +78,7 @@ class ProgramState {
   /// Publishes a freshly priced plan to the L1 and (when attached) the
   /// shared service. No-op when the L1 is disabled or the plan is unsealed.
   void publish_plan(const std::string& key,
-                    std::shared_ptr<const CommPlan> plan,
-                    std::vector<Distribution> pinned);
+                    std::shared_ptr<const CommPlan> plan);
 
   /// Allocates storage for a created array, laid out by its current
   /// distribution in `env`. Elements start at 0.0.

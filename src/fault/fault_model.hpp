@@ -24,7 +24,7 @@
 //
 // The differential oracle: a zero-probability config never draws from the
 // RNG and charges nothing, so every StepStats is byte-identical to the
-// fault-free machine's (tests/test_fault.cpp pins this).
+// fault-free machine's (tests/test_fault.cpp checks this).
 #pragma once
 
 #include <cstdint>
@@ -59,7 +59,7 @@ struct FaultCharge {
   double retry_us = 0.0;
 };
 
-/// The seeded fault source a CommEngine owns. configure() pins the config
+/// The seeded fault source a CommEngine owns. configure() fixes the config
 /// and rewinds the RNG to the seed; roll() draws per message in flow order
 /// and prices the retries.
 class FaultModel {

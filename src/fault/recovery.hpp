@@ -4,7 +4,7 @@
 // runtime would do when a node dies mid-run:
 //
 //   1. fail_processor(p): the machine's topology epoch bumps, and from this
-//      moment the epoch-checked plan caches (exec/comm_plan.hpp,
+//      moment the failure-checked plan caches (exec/comm_plan.hpp,
 //      service/plan_service.hpp) refuse to serve any sealed plan that
 //      references p.
 //   2. Every created primary array whose CURRENT data layout places

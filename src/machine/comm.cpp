@@ -56,7 +56,7 @@ std::vector<PairFlow> aggregate_plan_flows(const CommPlan& plan) {
 }
 
 // The sorted-unique processor footprint of a recorded schedule — the set
-// the epoch-checked plan caches intersect with the machine's failed set.
+// the plan caches (PlanTable::lookup) intersect with the machine's failed set.
 std::vector<ApId> plan_footprint(const CommPlan& plan) {
   std::vector<ApId> procs;
   procs.reserve(plan.transfers.size() * 2 + plan.computes.size());

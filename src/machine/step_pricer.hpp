@@ -9,7 +9,7 @@
 //     the same run tables with a private StepPricer and calls the same
 //     price() — so a predicted StepStats is byte-for-byte the StepStats
 //     the executor would seal, by construction rather than by testing
-//     luck (tests/test_cost_model.cpp pins it anyway, statement for
+//     luck (tests/test_cost_model.cpp checks it anyway, statement for
 //     statement, over the example corpus).
 //
 // The pricing model (machine/comm.hpp documents the split-phase story):

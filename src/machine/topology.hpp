@@ -55,16 +55,16 @@ class Machine {
   // --- processor failure (src/fault/) ------------------------------------
   //
   // The failure state lives behind an atomically swapped immutable
-  // snapshot; readers (the epoch-checked plan caches, the recovery path)
+  // snapshot; readers (the failure-checked plan caches, the recovery path)
   // grab one shared_ptr and reason over a consistent view.
 
   /// The current failure snapshot (never null; epoch 0 = no failures yet).
   std::shared_ptr<const FailureSet> failures() const noexcept;
 
   /// Marks processor `p` as failed and bumps the topology epoch, making
-  /// every cached plan that references `p` stale (the epoch-checked cache
-  /// lookups drop such plans lazily). Throws ConformanceError when `p` is
-  /// out of range, already failed, or the last survivor.
+  /// every cached plan that references `p` stale (the plan-cache lookups
+  /// drop such plans lazily). Throws ConformanceError when `p` is out of
+  /// range, already failed, or the last survivor.
   void fail_processor(ApId p);
 
   Extent topology_epoch() const noexcept { return failures()->epoch; }

@@ -2,116 +2,56 @@
 
 #include <functional>
 
-#include "machine/metrics.hpp"
-#include "support/strings.hpp"
-
 namespace hpfnt {
 
 // --- PlanServiceStats --------------------------------------------------------
 
-Extent PlanServiceStats::hits() const noexcept {
-  Extent n = 0;
-  for (const PlanShardStats& s : shards) n += s.hits;
+namespace {
+
+template <typename T>
+T sum_of(const std::vector<PlanShardStats>& shards, T PlanShardStats::*field) {
+  T n = 0;
+  for (const PlanShardStats& s : shards) n += s.*field;
   return n;
+}
+
+}  // namespace
+
+Extent PlanServiceStats::hits() const noexcept {
+  return sum_of(shards, &PlanShardStats::hits);
 }
 
 Extent PlanServiceStats::misses() const noexcept {
-  Extent n = 0;
-  for (const PlanShardStats& s : shards) n += s.misses;
-  return n;
+  return sum_of(shards, &PlanShardStats::misses);
 }
 
 Extent PlanServiceStats::inserts() const noexcept {
-  Extent n = 0;
-  for (const PlanShardStats& s : shards) n += s.inserts;
-  return n;
+  return sum_of(shards, &PlanShardStats::inserts);
 }
 
 Extent PlanServiceStats::evictions() const noexcept {
-  Extent n = 0;
-  for (const PlanShardStats& s : shards) n += s.evictions;
-  return n;
+  return sum_of(shards, &PlanShardStats::evictions);
 }
 
 Extent PlanServiceStats::invalidations() const noexcept {
-  Extent n = 0;
-  for (const PlanShardStats& s : shards) n += s.invalidations;
-  return n;
+  return sum_of(shards, &PlanShardStats::invalidations);
 }
 
 std::size_t PlanServiceStats::size() const noexcept {
-  std::size_t n = 0;
-  for (const PlanShardStats& s : shards) n += s.size;
-  return n;
+  return sum_of(shards, &PlanShardStats::size);
 }
 
 std::size_t PlanServiceStats::capacity() const noexcept {
-  std::size_t n = 0;
-  for (const PlanShardStats& s : shards) n += s.capacity;
-  return n;
-}
-
-double PlanServiceStats::hit_rate() const noexcept {
-  const Extent total = hits() + misses();
-  return total == 0 ? 0.0
-                    : static_cast<double>(hits()) / static_cast<double>(total);
-}
-
-double PlanServiceStats::occupancy() const noexcept {
-  const std::size_t cap = capacity();
-  return cap == 0 ? 0.0
-                  : static_cast<double>(size()) / static_cast<double>(cap);
-}
-
-double PlanServiceStats::eviction_pressure() const noexcept {
-  const Extent ins = inserts();
-  return ins == 0
-             ? 0.0
-             : static_cast<double>(evictions()) / static_cast<double>(ins);
-}
-
-std::string PlanServiceStats::to_string() const {
-  TextTable table({"shard", "hits", "misses", "hit rate", "inserts",
-                   "evictions", "invalidations", "plans", "occupancy"});
-  auto row = [&](const std::string& name, const PlanShardStats& s) {
-    const Extent lookups = s.hits + s.misses;
-    const double rate =
-        lookups == 0 ? 0.0
-                     : static_cast<double>(s.hits) /
-                           static_cast<double>(lookups);
-    const double occ =
-        s.capacity == 0 ? 0.0
-                        : static_cast<double>(s.size) /
-                              static_cast<double>(s.capacity);
-    table.add_row({name, format_count(s.hits), format_count(s.misses),
-                   format_pct(rate), format_count(s.inserts),
-                   format_count(s.evictions), format_count(s.invalidations),
-                   format_count(static_cast<Extent>(s.size)),
-                   format_pct(occ)});
-  };
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    row(cat("#", i), shards[i]);
-  }
-  PlanShardStats total;
-  total.hits = hits();
-  total.misses = misses();
-  total.inserts = inserts();
-  total.evictions = evictions();
-  total.invalidations = invalidations();
-  total.size = size();
-  total.capacity = capacity();
-  row("total", total);
-  return table.to_string();
+  return sum_of(shards, &PlanShardStats::capacity);
 }
 
 // --- PlanService -------------------------------------------------------------
 
-PlanService::PlanService(PlanServiceConfig config)
-    : shard_capacity_(config.shard_capacity < 1 ? 1 : config.shard_capacity) {
+PlanService::PlanService(PlanServiceConfig config) {
   const std::size_t n = config.shards < 1 ? 1 : config.shards;
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+    shards_.push_back(std::make_unique<Shard>(config.shard_capacity));
   }
 }
 
@@ -122,68 +62,24 @@ std::size_t PlanService::shard_of(const std::string& key) const noexcept {
   return std::hash<std::string>{}(key) % shards_.size();
 }
 
-std::shared_ptr<const CommPlan> PlanService::lookup(const std::string& key) {
-  Shard& shard = *shards_[shard_of(key)];
+std::shared_ptr<const CommPlan> PlanService::lookup(
+    const std::string& key, const std::vector<ApId>& failed) {
+  Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
-    ++shard.misses;
-    return nullptr;
-  }
-  ++shard.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.pos);
-  return it->second.plan;
+  return shard.table.lookup(key, failed);
 }
 
 std::shared_ptr<const CommPlan> PlanService::lookup(const std::string& key,
                                                     const Machine& topo) {
   const std::shared_ptr<const FailureSet> snap = topo.failures();
-  if (!snap->any()) return lookup(key);
-
-  Shard& shard = *shards_[shard_of(key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
-    ++shard.misses;
-    return nullptr;
-  }
-  if (it->second.plan->references_any(snap->failed)) {
-    shard.lru.erase(it->second.pos);
-    shard.entries.erase(it);
-    ++shard.invalidations;
-    ++shard.misses;
-    return nullptr;
-  }
-  ++shard.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.pos);
-  return it->second.plan;
+  return lookup(key, snap->failed);
 }
 
 void PlanService::insert(const std::string& key,
-                         std::shared_ptr<const CommPlan> plan,
-                         std::vector<Distribution> pinned) {
-  if (!plan || !plan->sealed) return;  // never serve an unsealed schedule
-  Shard& shard = *shards_[shard_of(key)];
+                         std::shared_ptr<const CommPlan> plan) {
+  Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  ++shard.inserts;
-  auto it = shard.entries.find(key);
-  if (it != shard.entries.end()) {
-    // A racing session priced the same content; the plans are
-    // interchangeable (the key is the schedule's content signature), so
-    // refreshing is only bookkeeping.
-    it->second.plan = std::move(plan);
-    it->second.pinned = std::move(pinned);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.pos);
-    return;
-  }
-  while (shard.entries.size() >= shard_capacity_) {
-    shard.entries.erase(shard.lru.back());
-    shard.lru.pop_back();
-    ++shard.evictions;
-  }
-  shard.lru.push_front(key);
-  shard.entries.emplace(
-      key, Entry{std::move(plan), std::move(pinned), shard.lru.begin()});
+  shard.table.insert(key, std::move(plan));
 }
 
 PlanServiceStats PlanService::stats() const {
@@ -192,33 +88,18 @@ PlanServiceStats PlanService::stats() const {
   for (const std::unique_ptr<Shard>& sp : shards_) {
     const Shard& shard = *sp;
     std::lock_guard<std::mutex> lock(shard.mu);
-    PlanShardStats s;
-    s.hits = shard.hits;
-    s.misses = shard.misses;
-    s.inserts = shard.inserts;
-    s.evictions = shard.evictions;
-    s.invalidations = shard.invalidations;
-    s.size = shard.entries.size();
-    s.capacity = shard_capacity_;
-    out.shards.push_back(s);
+    const PlanTable& t = shard.table;
+    out.shards.push_back({t.hits(), t.misses(), t.inserts(), t.evictions(),
+                          t.invalidations(), t.size(), t.capacity()});
   }
   return out;
 }
 
 void PlanService::clear() {
   for (const std::unique_ptr<Shard>& sp : shards_) {
-    Shard& shard = *sp;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.entries.clear();
-    shard.lru.clear();
+    std::lock_guard<std::mutex> lock(sp->mu);
+    sp->table.clear();
   }
-}
-
-PlanService& global_plan_service() {
-  // Meyers singleton: constructed thread-safely on first use, never
-  // destroyed before any user during normal operation (static storage).
-  static PlanService service;
-  return service;
 }
 
 }  // namespace hpfnt

@@ -1,48 +1,41 @@
 // The plan service: one process-wide, sharded, thread-safe cache of sealed
 // communication plans, shared by every interp session.
 //
-// Production framing (ROADMAP item 3): an interp session is a user, and
-// heavy traffic means thousands of concurrent ProgramStates executing
-// directive scripts against the same small set of layout shapes. Since the
-// PlanCache keys plans purely on *content* signatures
-// (Distribution::append_plan_signature, exec/comm_plan.hpp), a priced
-// CommPlan is valid for ANY session whose layouts match — so N sessions
-// paying N cold prices for identical content is pure waste. The PlanService
-// turns the per-session memo into a serving-stack cache hierarchy:
+// A priced CommPlan is keyed purely on *content* signatures
+// (Distribution::append_plan_signature, exec/comm_plan.hpp), so it is valid
+// for ANY session whose layouts match — N sessions paying N cold prices for
+// identical content is pure waste. The PlanService turns the per-session
+// memo into a two-level cache hierarchy built from one PlanTable
+// (exec/comm_plan.hpp):
 //
-//   L1  the session-local PlanCache (exec/comm_plan.hpp), unlocked, small.
-//       The warm path of a hot loop — the 2nd..Nth Jacobi iteration —
-//       replays from here and never touches a shard lock.
-//   L2  this service: sealed plans hash-sharded by PlanKey across S
-//       independent shards, each with its own mutex-protected LRU
-//       (promote-on-hit, tail eviction, configurable capacity). A session's
-//       first touch of a key misses its L1, takes exactly one shard lock,
-//       and — when any session has priced that content before — replays
-//       warm and back-fills its L1. Cold misses price once, publish to both
-//       levels, and every later session replays.
+//   L1  the session-local PlanCache, one unlocked PlanTable, small. The
+//       warm path of a hot loop — the 2nd..Nth Jacobi iteration — replays
+//       from here and never touches a shard lock.
+//   L2  this service: sealed plans hash-sharded by key across S
+//       independent shards, each a PlanTable behind its own mutex. A
+//       session's first touch of a key misses its L1, takes exactly one
+//       shard lock, and — when any session has priced that content before
+//       — replays warm and back-fills its L1. Cold misses price once,
+//       publish to both levels, and every later session replays.
 //
-// Sharding keeps the lock hold times short and the contention independent:
-// two sessions pricing different statements almost always hit different
-// shards. Shard counters (hits / misses / inserts / evictions) are
-// monotonically increasing across the process lifetime — clear() drops
-// entries but never rewinds a counter — so scrapes can always be diffed.
-// PlanServiceStats snapshots the per-shard counters and aggregates them
-// into a serving-style report: hit rate, occupancy, and eviction pressure
-// per shard and in total.
+// Both levels apply the same stale-plan rule (PlanTable::lookup): a plan
+// that references a failed processor of the caller's machine is erased at
+// lookup. Sharding keeps the lock hold times short and the contention
+// independent: two sessions pricing different statements almost always hit
+// different shards. Shard counters are monotonic across the process
+// lifetime — clear() drops entries but never rewinds a counter — so scrapes
+// can always be diffed.
 //
 // Thread-safety contract: lookup/insert/stats/clear are safe to call from
 // any number of threads concurrently. The plans handed out are immutable
-// (sealed CommPlans behind shared_ptr<const>), and the Distributions an
-// entry pins are only ever read. What the service does NOT make safe is
-// sharing one ProgramState between threads — a session is single-threaded;
-// it is the *service* that is shared.
+// (sealed CommPlans behind shared_ptr<const>). What the service does NOT
+// make safe is sharing one ProgramState between threads — a session is
+// single-threaded; it is the *service* that is shared.
 #pragma once
 
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/comm_plan.hpp"
@@ -58,7 +51,7 @@ struct PlanServiceConfig {
   std::size_t shard_capacity = 64;
 };
 
-/// One shard's monotonic counters plus its current occupancy.
+/// One shard's monotonic counters plus its current size and capacity.
 struct PlanShardStats {
   Extent hits = 0;
   Extent misses = 0;
@@ -82,17 +75,6 @@ struct PlanServiceStats {
   Extent invalidations() const noexcept;
   std::size_t size() const noexcept;
   std::size_t capacity() const noexcept;
-
-  /// hits / (hits + misses); 0 before any lookup.
-  double hit_rate() const noexcept;
-  /// size / capacity across all shards.
-  double occupancy() const noexcept;
-  /// evictions / inserts; > 0 means the working set exceeds capacity.
-  double eviction_pressure() const noexcept;
-
-  /// Serving-style per-shard metrics report (machine/metrics.hpp table):
-  /// one row per shard plus a totals row.
-  std::string to_string() const;
 };
 
 /// The process-wide sharded plan cache (L2). See the file comment for the
@@ -104,31 +86,23 @@ class PlanService {
   PlanService(const PlanService&) = delete;
   PlanService& operator=(const PlanService&) = delete;
 
-  /// The sealed plan for `key`, or null. Counts a hit or a miss on the
-  /// key's shard and promotes the entry to most-recently-used.
-  std::shared_ptr<const CommPlan> lookup(const std::string& key);
+  /// PlanTable::lookup on the key's shard, under its lock. A plan
+  /// erased for referencing a processor in `failed` can never be served
+  /// again, to this session or any other.
+  std::shared_ptr<const CommPlan> lookup(
+      const std::string& key, const std::vector<ApId>& failed = {});
 
-  /// Epoch-checked lookup (src/fault/): on a machine with failed
-  /// processors, a cached plan referencing any of them is erased under the
-  /// shard lock and the lookup misses — the stale schedule can never be
-  /// served again, to this session or any other. Unlike the L1 there is no
-  /// per-entry epoch stamp: the service is multi-tenant and different
-  /// sessions run different machines, so the check re-runs per lookup; the
-  /// common no-failure machine short-circuits to the plain path. Safe to
-  /// call concurrently with fail_processor — the failure snapshot is read
+  /// lookup() against the machine's current failure set. Safe to call
+  /// concurrently with fail_processor — the failure snapshot is read
   /// atomically (machine/topology.hpp).
   std::shared_ptr<const CommPlan> lookup(const std::string& key,
                                          const Machine& topo);
 
-  /// Publishes a sealed plan (unsealed/null plans are ignored). Re-inserts
-  /// of an existing key refresh the entry and promote it; both count as an
-  /// insert. Two sessions racing to publish the same cold key is benign —
-  /// the plans are interchangeable by construction (the key IS the content
-  /// signature of the priced schedule). `pinned` carries any address-keyed
-  /// Distributions the plan was priced from (none today; kept so the
-  /// fallback keying stays sound if a signature-less payload kind returns).
-  void insert(const std::string& key, std::shared_ptr<const CommPlan> plan,
-              std::vector<Distribution> pinned = {});
+  /// PlanTable::insert on the key's shard. Two sessions racing to publish
+  /// the same cold key is benign — the plans are interchangeable by
+  /// construction (the key IS the content signature of the priced
+  /// schedule).
+  void insert(const std::string& key, std::shared_ptr<const CommPlan> plan);
 
   std::size_t shard_count() const noexcept { return shards_.size(); }
 
@@ -136,7 +110,7 @@ class PlanService {
   /// for tests and shard-imbalance diagnostics).
   std::size_t shard_of(const std::string& key) const noexcept;
 
-  /// Snapshot of every shard's counters and occupancy.
+  /// Snapshot of every shard's counters, size and capacity.
   PlanServiceStats stats() const;
 
   /// Drops every cached plan. Counters are monotonic and keep their
@@ -144,34 +118,17 @@ class PlanService {
   void clear();
 
  private:
-  struct Entry {
-    std::shared_ptr<const CommPlan> plan;
-    std::vector<Distribution> pinned;
-    std::list<std::string>::iterator pos;  // position in Shard::lru
-  };
-
   struct Shard {
+    explicit Shard(std::size_t capacity) : table(capacity) {}
     mutable std::mutex mu;
-    // Everything below is guarded by mu — stats() snapshots a shard under
-    // the same lock, so a snapshot's counters and occupancy are mutually
-    // consistent. front of lru = most recently used.
-    std::list<std::string> lru;
-    std::unordered_map<std::string, Entry> entries;
-    Extent hits = 0;
-    Extent misses = 0;
-    Extent inserts = 0;
-    Extent evictions = 0;
-    Extent invalidations = 0;
+    PlanTable table;  // guarded by mu
   };
 
-  std::size_t shard_capacity_;
+  Shard& shard_for(const std::string& key) const {
+    return *shards_[shard_of(key)];
+  }
+
   std::vector<std::unique_ptr<Shard>> shards_;  // Shard is immovable (mutex)
 };
-
-/// The default process-wide service instance (constructed on first use,
-/// default config). Sessions that want shared caching without managing a
-/// service of their own attach to this one; benches and tests construct
-/// private PlanService instances for controlled A/B runs.
-PlanService& global_plan_service();
 
 }  // namespace hpfnt

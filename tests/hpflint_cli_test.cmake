@@ -75,7 +75,7 @@ run_hpflint(2 "${WORK_DIR}/a_directory.hpf")
 # An exception no layer turns into a diagnostic still exits 2 with one
 # line, never an abort (134): a 2e9 x 2e9 array lints clean, but its
 # storage cannot be allocated when --exec runs it. (At 4e9 x 4e9 the
-# element count itself wraps int64, which the sanitizer job stops on.)
+# element count itself wraps int64; that declaration is refused below.)
 file(WRITE "${WORK_DIR}/huge_array.hpf"
   "REAL A(2000000000,2000000000)\n!HPF$ DISTRIBUTE A(BLOCK,BLOCK)\n")
 run_hpflint(2 --exec "${WORK_DIR}/huge_array.hpf")
@@ -92,6 +92,27 @@ string(FIND "${out}" "zero_stride.hpf:2: error: [HF001]" has_lint_line)
 check("zero stride: lint reports line 2" has_lint_line GREATER -1)
 string(FIND "${err}" "failed: mapping error at 2:1: subscript triplet stride must be nonzero" has_exec_line)
 check("zero stride: execution error reports line 2" has_exec_line GREATER -1)
+
+# Sizes an Extent cannot hold are refused where the array is declared, in
+# every mode: a triplet whose span wraps int64 (before the check, --exec
+# segfaulted on it) and a domain whose element count does.
+file(WRITE "${WORK_DIR}/wide_triplet.hpf"
+  "REAL A(-9223372036854775807:9223372036854775807)\n!HPF$ DISTRIBUTE A(BLOCK)\nA(1:10) = A(2:11)\n")
+file(WRITE "${WORK_DIR}/wide_domain.hpf"
+  "REAL A(4000000000,4000000000)\n!HPF$ DISTRIBUTE A(BLOCK,BLOCK)\n")
+set(wide_triplet_msg "subscript triplet -9223372036854775807:9223372036854775807 has more indices than an extent can hold")
+set(wide_domain_msg "index domain (1:4000000000, 1:4000000000) has more elements than an extent can hold")
+foreach(case IN ITEMS wide_triplet wide_domain)
+  foreach(mode IN ITEMS "" --cost --exec)
+    run_hpflint(1 ${mode} "${WORK_DIR}/${case}.hpf")
+    string(FIND "${out}" "${case}.hpf:1" has_line)
+    string(FIND "${out}" "${${case}_msg}" has_msg)
+    check("${case} ${mode}: located error at line 1"
+          has_line GREATER -1 AND has_msg GREATER -1)
+  endforeach()
+  string(FIND "${err}" "error at 1:1: ${${case}_msg}" has_exec_line)
+  check("${case}: execution error reports line 1" has_exec_line GREATER -1)
+endforeach()
 
 # --- --json line schema -----------------------------------------------------
 run_hpflint(0 --json "${SCRIPTS}/bad_undershadow.hpf")

@@ -18,6 +18,7 @@
 #include "exec/comm_plan.hpp"
 #include "exec/redistribute_exec.hpp"
 #include "exec/stencil.hpp"
+#include "service/plan_service.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
@@ -453,32 +454,33 @@ TEST_F(PlanReplayTest, ContentSignatureCoverage) {
   // Every payload kind now carries a content plan signature: formats
   // (including table-backed INDIRECT/USER ones, which digest their bound
   // owner tables), constructed payloads over any base, section views, and
-  // explicit maps. Nothing falls back to address keying any more.
+  // explicit maps.
   const IndexDomain dom{Dim(1, 16)};
   const Distribution block = Distribution::formats(
       dom, {DistFormat::block()}, ProcessorRef(ps_.find("Q")));
-  EXPECT_TRUE(block.has_plan_signature());
+  EXPECT_FALSE(block.plan_signature().empty());
   const Distribution over_block =
       Distribution::constructed(AlignmentFunction::identity(dom, dom), block);
-  EXPECT_TRUE(over_block.has_plan_signature());
+  EXPECT_FALSE(over_block.plan_signature().empty());
   const Distribution nested = Distribution::constructed(
       AlignmentFunction::identity(dom, dom), over_block);
-  EXPECT_TRUE(nested.has_plan_signature());
+  EXPECT_FALSE(nested.plan_signature().empty());
   const Distribution indirect = Distribution::formats(
       dom, {DistFormat::indirect(std::vector<Extent>(16, 1))},
       ProcessorRef(ps_.find("Q")));
-  EXPECT_TRUE(indirect.has_plan_signature());
-  EXPECT_TRUE(Distribution::constructed(AlignmentFunction::identity(dom, dom),
-                                        indirect)
-                  .has_plan_signature());
-  EXPECT_TRUE(block.materialize().has_plan_signature());
-  EXPECT_TRUE(
-      Distribution::section_view(block, dom.dims()).has_plan_signature());
+  EXPECT_FALSE(indirect.plan_signature().empty());
+  EXPECT_FALSE(Distribution::constructed(AlignmentFunction::identity(dom, dom),
+                                         indirect)
+                   .plan_signature()
+                   .empty());
+  EXPECT_FALSE(block.materialize().plan_signature().empty());
+  EXPECT_FALSE(
+      Distribution::section_view(block, dom.dims()).plan_signature().empty());
 }
 
 namespace {
 
-/// The PlanKey bytes of a single distribution (no pins expected).
+/// The PlanKey bytes of a single distribution.
 std::string key_of(const Distribution& dist) {
   PlanKey k;
   k.add_distribution(dist);
@@ -983,12 +985,11 @@ TEST_F(PlanReplayTest, RealignedArrayDoesNotReplayStalePlan) {
 // --- recycled payload addresses can never alias a plan key ------------------
 
 TEST_F(PlanReplayTest, RecycledPayloadAddressDoesNotReplayStalePlan) {
-  // Historically explicit payloads keyed by address (+ generation id);
-  // today they key by content digest, which makes address recycling
-  // structurally irrelevant — a different mapping at the same address
-  // digests differently, so the stale plan cannot replay. Keep simulating
-  // the hazardous sequence end to end: an entry whose payload has been
-  // released and whose address the allocator hands to a different mapping.
+  // Explicit payloads key by content digest, so a different mapping at a
+  // recycled address digests differently and the stale plan cannot
+  // replay. The hazardous sequence end to end: an entry whose payload has
+  // been released and whose address the allocator hands to a different
+  // mapping.
   const IndexDomain dom{Dim(1, 8)};
   auto explicit_on = [&](ApId p) {
     OwnerSet one;
@@ -1008,7 +1009,7 @@ TEST_F(PlanReplayTest, RecycledPayloadAddressDoesNotReplayStalePlan) {
     stale_key = k.str();
     auto plan = std::make_shared<CommPlan>();
     plan->sealed = true;
-    cache.insert(stale_key, std::move(plan), {});  // entry without pins
+    cache.insert(stale_key, std::move(plan));
   }  // d1's payload dies; its address can now be recycled
 
   // Allocate same-shaped payloads until one lands on the old address (with
@@ -1109,7 +1110,7 @@ TEST_F(CommPlanSignatureMemoTest, EveryKindIsStableAcrossCallsAndMintings) {
     d.append_plan_signature(appended);
     EXPECT_EQ(appended, "prefix" + sig) << name;
     // Distinct mappings never collide (an identity α signs as its base,
-    // which ComposedPayloadsEmbedTheirChildrensMemos pins).
+    // which ComposedPayloadsEmbedTheirChildrensMemos checks).
     if (name == "identity_constructed") continue;
     for (std::size_t j = 0; j < i; ++j) {
       EXPECT_NE(first[j].second.plan_signature(), sig)
@@ -1225,14 +1226,14 @@ TEST(PlanCacheLruTest, EvictsLeastRecentlyUsedAndCounts) {
   PlanCache cache;
   cache.set_capacity(2);
   EXPECT_EQ(cache.capacity(), 2u);
-  cache.insert("a", sealed(), {});
-  cache.insert("b", sealed(), {});
+  cache.insert("a", sealed());
+  cache.insert("b", sealed());
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 0);
 
   // Touch "a" so "b" becomes the LRU victim.
   EXPECT_NE(cache.lookup("a"), nullptr);
-  cache.insert("c", sealed(), {});
+  cache.insert("c", sealed());
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1);
   EXPECT_NE(cache.lookup("a"), nullptr);
@@ -1242,7 +1243,7 @@ TEST(PlanCacheLruTest, EvictsLeastRecentlyUsedAndCounts) {
   EXPECT_EQ(cache.misses(), 1);
 
   // Re-inserting an existing key refreshes, never evicts.
-  cache.insert("c", sealed(), {});
+  cache.insert("c", sealed());
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1);
 
@@ -1253,7 +1254,7 @@ TEST(PlanCacheLruTest, EvictsLeastRecentlyUsedAndCounts) {
   EXPECT_NE(cache.lookup("c"), nullptr);  // most recently touched survives
 
   // An unsealed plan is never cached.
-  cache.insert("u", std::make_shared<CommPlan>(), {});
+  cache.insert("u", std::make_shared<CommPlan>());
   EXPECT_EQ(cache.lookup("u"), nullptr);
 }
 
@@ -1267,12 +1268,58 @@ TEST(PlanCacheLruTest, ChurningOneShotKeysNeverGrowsPastCapacity) {
   };
   PlanCache cache;
   for (int i = 0; i < 1000; ++i) {
-    cache.insert(cat("key", i), sealed(), {});
+    cache.insert(cat("key", i), sealed());
     EXPECT_LE(cache.size(), cache.capacity());
   }
   EXPECT_EQ(cache.size(), cache.capacity());
   EXPECT_EQ(cache.evictions(),
             static_cast<Extent>(1000 - cache.capacity()));
+}
+
+TEST(PlanCacheLruTest, InsertsCountStoresRefreshesAndServiceBackfills) {
+  auto sealed = [] {
+    auto plan = std::make_shared<CommPlan>();
+    plan->sealed = true;
+    return plan;
+  };
+  Machine machine(4);
+  PlanService service;
+  service.insert("shared", sealed());
+  ProgramState state(machine);
+  state.set_plan_service(&service);
+  const PlanCache& cache = state.plans();
+
+  state.publish_plan("a", sealed());  // store
+  EXPECT_EQ(cache.inserts(), 1);
+  state.publish_plan("a", sealed());  // refresh
+  EXPECT_EQ(cache.inserts(), 2);
+  // An L1 miss served by the service back-fills the L1: one more insert.
+  EXPECT_NE(state.lookup_plan("shared"), nullptr);
+  EXPECT_EQ(cache.inserts(), 3);
+  // The back-filled entry now serves from the L1 without inserting again.
+  EXPECT_NE(state.lookup_plan("shared"), nullptr);
+  EXPECT_EQ(cache.inserts(), 3);
+  // Unsealed and null plans are never stored, so they are not counted.
+  state.plans().insert("u", std::make_shared<CommPlan>());
+  state.plans().insert("n", nullptr);
+  EXPECT_EQ(cache.inserts(), 3);
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(PlanCacheLruTest, ClearDropsEntriesButKeepsCounters) {
+  auto plan = std::make_shared<CommPlan>();
+  plan->sealed = true;
+  PlanCache cache;
+  cache.insert("a", plan);
+  EXPECT_NE(cache.lookup("a"), nullptr);
+  EXPECT_EQ(cache.lookup("b"), nullptr);
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.hits(), 1);
+  EXPECT_EQ(cache.misses(), 1);
+  EXPECT_EQ(cache.inserts(), 1);
+  EXPECT_EQ(cache.lookup("a"), nullptr);  // the entry is gone...
+  EXPECT_EQ(cache.misses(), 2);           // ...and the counters keep going
 }
 
 // --- CommEngine misuse guards -----------------------------------------------

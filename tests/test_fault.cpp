@@ -1,6 +1,6 @@
 // The fault-injected machine (src/fault/): the zero-fault differential
 // oracle, deterministic retry pricing (cold == replay under the same seed),
-// all-or-nothing exhaustion, sealed-plan purity, epoch-checked invalidation
+// all-or-nothing exhaustion, sealed-plan purity, failure-set invalidation
 // on BOTH cache levels, processor-loss recovery (replica / checkpoint /
 // lost three-way), CHECKPOINT/RESTORE semantics, and the PlanService
 // lookup-vs-fail_processor race the TSan CI job hammers.
@@ -243,7 +243,7 @@ TEST(FaultReplay, RetryPricingFollowsTheBackoffFormula) {
   EXPECT_EQ(s.time_us, (s.time_us - s.retry_us) + s.retry_us);
 }
 
-// --- epoch-checked invalidation, both cache levels --------------------------
+// --- failure-set invalidation, both cache levels ----------------------------
 
 std::shared_ptr<const CommPlan> plan_touching(std::vector<ApId> procs) {
   auto plan = std::make_shared<CommPlan>();
@@ -256,21 +256,40 @@ std::shared_ptr<const CommPlan> plan_touching(std::vector<ApId> procs) {
 TEST(EpochInvalidation, PlanCacheDropsPlansReferencingTheDeadProcessor) {
   Machine machine(8);
   PlanCache cache;
-  cache.insert("hot", plan_touching({0, 2, 5}), {});
-  cache.insert("cold", plan_touching({1, 3}), {});
+  cache.insert("hot", plan_touching({0, 2, 5}));
+  cache.insert("cold", plan_touching({1, 3}));
   EXPECT_NE(cache.lookup("hot", machine), nullptr);
 
   machine.fail_processor(5);
   EXPECT_EQ(cache.lookup("hot", machine), nullptr)
       << "a plan referencing a dead processor must never replay";
   EXPECT_EQ(cache.invalidations(), 1);
-  // A plan untouched by the failure survives, and its entry is stamped:
-  // the second lookup at the same epoch skips the intersection.
+  // A plan untouched by the failure survives repeated lookups.
   EXPECT_NE(cache.lookup("cold", machine), nullptr);
   EXPECT_NE(cache.lookup("cold", machine), nullptr);
   EXPECT_EQ(cache.invalidations(), 1);
   // The dropped key misses from then on (the entry is gone, not hidden).
   EXPECT_EQ(cache.lookup("hot"), nullptr);
+}
+
+TEST(EpochInvalidation, PlanCacheRechecksASurvivorAtTheNextFailure) {
+  // Both levels keep no per-entry stamp: every lookup intersects the plan
+  // with the current failed set, so a plan that survived one failure is
+  // dropped as soon as a later failure names a processor it references.
+  Machine machine(8);
+  PlanCache cache;
+  cache.insert("p", plan_touching({1, 4}));
+  machine.fail_processor(2);
+  EXPECT_NE(cache.lookup("p", machine), nullptr);
+  EXPECT_NE(cache.lookup("p", machine), nullptr);
+  EXPECT_EQ(cache.invalidations(), 0);
+
+  machine.fail_processor(4);
+  EXPECT_EQ(cache.lookup("p", machine), nullptr)
+      << "a plan that survived an earlier failure must not replay after "
+         "one it references";
+  EXPECT_EQ(cache.invalidations(), 1);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(EpochInvalidation, PlanServiceDropsPlansReferencingTheDeadProcessor) {

@@ -114,6 +114,23 @@ TEST(IndexDomain, ForEachEmptyDomainVisitsNothing) {
   EXPECT_EQ(count, 0);
 }
 
+TEST(IndexDomain, SizeThatOverflowsAnExtentIsRejected) {
+  // 4e9 * 4e9 = 1.6e19 > 2^63 - 1: every constructor refuses it.
+  EXPECT_THROW((IndexDomain{Dim(4000000000), Dim(4000000000)}),
+               ConformanceError);
+  EXPECT_THROW(IndexDomain::of_extents({4000000000, 4000000000}),
+               ConformanceError);
+  EXPECT_THROW(IndexDomain({Triplet(1, 3037000500), Triplet(1, 3037000500)}),
+               ConformanceError);
+  // 2e9 * 2e9 = 4e18 still fits.
+  EXPECT_EQ((IndexDomain{Dim(2000000000), Dim(2000000000)}).size(),
+            4000000000000000000);
+  // An empty dimension makes the domain empty, whatever the others hold.
+  const IndexDomain empty{Dim(4000000000), Dim(4000000000), Dim(1, 0)};
+  EXPECT_EQ(empty.size(), 0);
+  EXPECT_TRUE(empty.empty());
+}
+
 TEST(IndexDomain, SectionDomainIsStandard) {
   IndexDomain d{Dim(1, 1000)};
   IndexDomain view = d.section_domain({Triplet(2, 996, 2)});

@@ -233,7 +233,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- section_shift / shadow_covers / classify_operand_comm -------------------
 // The documented operand-classification API (exec/overlap.hpp): the static
-// analyzer consumes exactly these predicates, so their contract is pinned
+// analyzer consumes exactly these predicates, so their contract is checked
 // here and the composition law is checked against its components.
 
 TEST(SectionShift, DetectsPureTranslates) {

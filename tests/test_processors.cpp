@@ -108,7 +108,7 @@ TEST(ScalarArrangement, CanonicalApIsMinimumOwner) {
   // *minimum* owner (ROADMAP rule: owner sets are not sorted in general,
   // so owners.front() is not a correct replica choice). ap_of/ap_at must
   // report min(owners_of), whatever order the set arrives in — today
-  // kReplicated yields ascending sets, so this pins the rule against any
+  // kReplicated yields ascending sets, so this fixes the rule against any
   // future placement policy that does not.
   ProcessorSpace ps(8, ScalarPlacement::kReplicated);
   const auto& s = ps.declare_scalar("S");

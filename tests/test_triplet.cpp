@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "support/error.hpp"
 
 namespace hpfnt {
@@ -29,6 +31,23 @@ TEST(Triplet, SizeMatchesFortranSectionFormula) {
 
 TEST(Triplet, ZeroStrideIsRejected) {
   EXPECT_THROW(Triplet(1, 10, 0), MappingError);
+}
+
+TEST(Triplet, CountThatOverflowsAnExtentIsRejected) {
+  constexpr Index1 kMax = std::numeric_limits<Index1>::max();
+  constexpr Index1 kMin = std::numeric_limits<Index1>::min();
+  // upper - lower wraps.
+  EXPECT_THROW(Triplet(-kMax, kMax), MappingError);
+  EXPECT_THROW(Triplet(kMax, -kMax, -1), MappingError);
+  // upper - lower fits, adding the stride wraps.
+  EXPECT_THROW(Triplet(0, kMax), MappingError);
+  EXPECT_THROW(Triplet(0, kMin + 1, -2), MappingError);
+  // The span fits but dividing it by -1 would not.
+  EXPECT_THROW(Triplet(0, kMin + 1, -1), MappingError);
+  // The widest counts that fit are kept.
+  EXPECT_EQ(Triplet(1, kMax).size(), kMax);
+  EXPECT_EQ(Triplet(-1, kMax - 2).size(), kMax);
+  EXPECT_EQ(Triplet(0, kMin + 2, -1).size(), kMax);
 }
 
 TEST(Triplet, ContainsRespectsStridePhase) {
