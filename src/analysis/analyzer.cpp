@@ -4,11 +4,9 @@
 #include <set>
 #include <utility>
 
+#include "analysis/walk.hpp"
 #include "core/data_env.hpp"
 #include "core/distribution.hpp"
-#include "directives/binder.hpp"
-#include "directives/parser.hpp"
-#include "support/error.hpp"
 #include "support/strings.hpp"
 
 namespace hpfnt::analysis {
@@ -19,22 +17,6 @@ using dir::AstNode;
 using dir::AstProgram;
 using dir::AstSecExpr;
 using dir::AstSecExprPtr;
-using dir::Binder;
-
-bool is_mapping_directive(AstNode::Kind kind) {
-  switch (kind) {
-    case AstNode::Kind::kProcessors:
-    case AstNode::Kind::kDistribute:
-    case AstNode::Kind::kAlign:
-    case AstNode::Kind::kDynamic:
-    case AstNode::Kind::kTemplate:
-    case AstNode::Kind::kInherit:
-    case AstNode::Kind::kShadow:
-      return true;
-    default:
-      return false;
-  }
-}
 
 /// Array references of an expression tree in left-to-right depth-first
 /// order — the order bind_sec_expr emits section leaves, hence the order
@@ -53,173 +35,82 @@ void collect_array_refs(const AstSecExprPtr& expr, const DataEnv& env,
   collect_array_refs(expr->rhs, env, out);
 }
 
-std::string render_section(const std::string& name,
-                           const std::vector<Triplet>& section) {
-  std::string out = name + "(";
-  for (std::size_t d = 0; d < section.size(); ++d) {
-    if (d) out += ",";
-    out += section[d].to_string();
-  }
-  return out + ")";
-}
-
-std::string render_shadow_fixit(const std::string& name,
-                                const std::vector<ShadowWidth>& widths) {
-  std::string out = "SHADOW " + name + "(";
-  for (std::size_t d = 0; d < widths.size(); ++d) {
-    if (d) out += ",";
-    out += cat(widths[d].left, ":", widths[d].right);
-  }
-  return out + ")";
-}
-
-class Analyzer {
+class Analyzer : public WalkVisitor {
  public:
   Analyzer(ProcessorSpace& space, const AstProgram& program)
-      : program_(&program), env_(space), binder_(space, env_) {
+      : program_(&program), walk_(space), env_(walk_.env()) {
     for (const dir::AstSubroutine& sub : program.subroutines) {
       arity_[to_upper(sub.name)] = static_cast<int>(sub.dummies.size());
     }
   }
 
   AnalysisResult run() {
-    for (const AstNode& node : program_->main) visit(node);
+    walk_.run(*program_, *this);
     finish();
+    result_.diagnostics = walk_.take_diagnostics();
     return std::move(result_);
   }
 
  private:
-  void diag(std::string code, Severity severity, std::string message,
-            int line, int column = 0, std::string note = "",
-            std::string fixit = "") {
-    Diagnostic d;
-    d.code = std::move(code);
-    d.severity = severity;
-    d.message = std::move(message);
-    d.line = line;
-    d.column = column;
-    d.note = std::move(note);
-    d.fixit = std::move(fixit);
-    result_.diagnostics.push_back(std::move(d));
+  template <class... Args>
+  void diag(Args&&... args) {
+    walk_.report(std::forward<Args>(args)...);
   }
 
-  void visit(const AstNode& node) {
+  // STATS and the fault-injection controls are runtime-only: nothing
+  // static to say.
+  void unbound(const AstNode& node) override {
+    if (node.kind == AstNode::Kind::kCall) visit_call(node);
+  }
+
+  void binding(const AstNode& node) override {
     switch (node.kind) {
-      case AstNode::Kind::kStats:
-        return;  // runtime counter snapshot; nothing static to say
-      case AstNode::Kind::kFaults:
-      case AstNode::Kind::kCheckpoint:
-      case AstNode::Kind::kRestore:
-      case AstNode::Kind::kFailProc:
-        return;  // fault-injection controls; runtime-only, nothing static
-      case AstNode::Kind::kCall:
-        visit_call(node);
+      case AstNode::Kind::kDeclaration:
+        for (const dir::AstDeclName& n : node.declaration->names) {
+          decl_line_.emplace(to_upper(n.name), node.line);
+        }
         return;
-      case AstNode::Kind::kArrayAssign:
-        visit_array_assign(node);
+      case AstNode::Kind::kDynamic:
+        for (const std::string& n : node.dynamic->names) {
+          dynamic_line_.emplace(to_upper(n), node.line);
+        }
+        return;
+      case AstNode::Kind::kShadow:
+        shadow_line_[to_upper(node.shadow->name)] = node.line;
         return;
       case AstNode::Kind::kAlign:
-        visit_align(node);
+        mapped_.insert(to_upper(node.align->alignee));
+        if (node.align->executable) {
+          remapped_.insert(to_upper(node.align->alignee));
+        }
         return;
       case AstNode::Kind::kDistribute:
-        visit_distribute(node);
+        before_distribute(node);
         return;
       default:
-        if (node.kind == AstNode::Kind::kDeclaration) {
-          for (const dir::AstDeclName& n : node.declaration->names) {
-            decl_line_.emplace(to_upper(n.name), node.line);
-          }
-        }
-        if (node.kind == AstNode::Kind::kDynamic) {
-          for (const std::string& n : node.dynamic->names) {
-            dynamic_line_.emplace(to_upper(n), node.line);
-          }
-        }
-        if (node.kind == AstNode::Kind::kShadow) {
-          shadow_line_[to_upper(node.shadow->name)] = node.line;
-        }
-        apply(node);
         return;
     }
   }
 
-  /// Binds one node, converting front-end throws into diagnostics: HL003
-  /// for mapping directives, HF001 for statements. Returns false when the
-  /// node did not bind (its effects are skipped; analysis continues).
-  bool apply(const AstNode& node) {
-    const char* code =
-        is_mapping_directive(node.kind) ? "HL003" : "HF001";
-    try {
-      std::vector<RemapEvent> events;
-      binder_.apply(node, &events);
-      return true;
-    } catch (const DirectiveError& e) {
-      diag(code, Severity::kError, e.what(), e.line(), e.column());
-    } catch (const ConformanceError& e) {
-      diag(code, Severity::kError, e.message(),
-           e.located() ? e.line() : node.line, e.column());
-    } catch (const HpfError& e) {
-      diag(code, Severity::kError, e.what(), node.line);
-    }
-    return false;
+  void bound(const AstNode& node, const std::vector<RemapEvent>&) override {
+    if (node.kind == AstNode::Kind::kAlign) check_collapsed_axes(node);
+    if (node.kind == AstNode::Kind::kDistribute) check_noop_remaps(node);
   }
 
   // --- ALIGN / REALIGN -----------------------------------------------------
 
-  void visit_align(const AstNode& node) {
+  /// HL004: the directive bound, but any alignee axis that lands on a
+  /// collapsed base dimension constrains nothing — the base's owners do
+  /// not vary along that dimension.
+  void check_collapsed_axes(const AstNode& node) {
     const dir::AstAlign& align = *node.align;
-    mapped_.insert(to_upper(align.alignee));
-    if (align.executable) remapped_.insert(to_upper(align.alignee));
-
-    // HL001: a self-alignment can never be satisfied — the directive asks
-    // the forest for a cycle of length one.
-    if (iequals(align.alignee, align.base)) {
-      diag("HL001", Severity::kError,
-           cat(align.executable ? "REALIGN" : "ALIGN", " of '", align.alignee,
-               "' with itself forms an alignment cycle"),
-           node.line);
-      return;
-    }
-
-    // HL002: the alignment forest keeps height <= 1, so the base must be a
-    // primary. The one legal exception: REALIGN A WITH B where B is
-    // currently aligned to A — realignment orphans A's tree first (§5.2),
-    // which turns B into a primary before the edge is re-made.
-    if (env_.has(align.alignee) && env_.has(align.base)) {
-      const DistArray& alignee = env_.find(align.alignee);
-      const DistArray& base = env_.find(align.base);
-      if (alignee.is_created() && base.is_created() &&
-          !env_.is_primary(base)) {
-        const DistArray* primary = env_.aligned_to(base);
-        const bool orphaned_first =
-            align.executable && primary == &alignee;
-        if (!orphaned_first) {
-          diag("HL002", Severity::kError,
-               cat(align.executable ? "REALIGN" : "ALIGN", " of '",
-                   align.alignee, "' onto '", align.base,
-                   "', which is itself a secondary — the alignment forest "
-                   "keeps height <= 1"),
-               node.line, 0,
-               primary ? cat("'", align.base, "' is aligned to '",
-                             primary->name(), "'; align to that primary "
-                             "instead")
-                       : "");
-          return;
-        }
-      }
-    }
-
-    if (!apply(node)) return;
-
-    // HL004: the directive bound, but any alignee axis that lands on a
-    // collapsed base dimension constrains nothing — the base's owners do
-    // not vary along that dimension.
     if (!env_.has(align.base)) return;
     const DistArray& base = env_.find(align.base);
     if (!base.is_created()) return;
     const Distribution& bdist = env_.distribution_of(base);
     if (bdist.kind() != Distribution::Kind::kFormats) return;
-    const AlignSpec spec = binder_.bind_align_spec(align, base.domain());
+    const AlignSpec spec =
+        walk_.binder().bind_align_spec(align, base.domain());
     const std::vector<BaseSub>& subs = spec.base_subs();
     for (std::size_t j = 0; j < subs.size(); ++j) {
       const BaseSub& sub = subs[j];
@@ -243,45 +134,41 @@ class Analyzer {
 
   // --- DISTRIBUTE / REDISTRIBUTE -------------------------------------------
 
-  void visit_distribute(const AstNode& node) {
+  void before_distribute(const AstNode& node) {
     const dir::AstDistribute& dist = *node.distribute;
     for (const std::string& n : dist.names) mapped_.insert(to_upper(n));
-    if (dist.executable) {
-      for (const std::string& n : dist.names) remapped_.insert(to_upper(n));
-    }
-
-    std::map<std::string, Distribution> before;
-    if (dist.executable) {
-      for (const std::string& n : dist.names) {
-        if (!env_.has(n)) continue;
-        const DistArray& array = env_.find(n);
-        if (!array.is_created()) continue;
-        // HL005: redistributing a secondary silently detaches it from its
-        // base (§4.2 moves alignees WITH their primary; naming the
-        // secondary itself instead dissolves the relation).
-        if (!env_.is_primary(array)) {
-          const DistArray* primary = env_.aligned_to(array);
-          diag("HL005", Severity::kWarning,
-               cat("REDISTRIBUTE of '", n,
-                   "', which is aligned to another array: this detaches "
-                   "it, silently dropping the alignment"),
-               node.line, 0,
-               primary ? cat("REDISTRIBUTE '", primary->name(),
-                             "' to move the whole alignment tree, or "
-                             "REALIGN '", n, "' if detaching is intended")
-                       : "");
-        }
-        before.emplace(to_upper(n), env_.distribution_of(array));
-      }
-    }
-
-    if (!apply(node)) return;
-
-    // HL006: a remap to the mapping the array already has moves nothing
-    // but still costs a directive (and, executed, a plan lookup).
+    before_.clear();
+    if (!dist.executable) return;
     for (const std::string& n : dist.names) {
-      auto it = before.find(to_upper(n));
-      if (it == before.end() || !env_.has(n)) continue;
+      remapped_.insert(to_upper(n));
+      if (!env_.has(n)) continue;
+      const DistArray& array = env_.find(n);
+      if (!array.is_created()) continue;
+      // HL005: redistributing a secondary silently detaches it from its
+      // base (§4.2 moves alignees WITH their primary; naming the
+      // secondary itself instead dissolves the relation).
+      if (!env_.is_primary(array)) {
+        const DistArray* primary = env_.aligned_to(array);
+        diag("HL005", Severity::kWarning,
+             cat("REDISTRIBUTE of '", n,
+                 "', which is aligned to another array: this detaches "
+                 "it, silently dropping the alignment"),
+             node.line, 0,
+             primary ? cat("REDISTRIBUTE '", primary->name(),
+                           "' to move the whole alignment tree, or "
+                           "REALIGN '", n, "' if detaching is intended")
+                     : "");
+      }
+      before_.emplace(to_upper(n), env_.distribution_of(array));
+    }
+  }
+
+  /// HL006: a remap to the mapping the array already has moves nothing
+  /// but still costs a directive (and, executed, a plan lookup).
+  void check_noop_remaps(const AstNode& node) {
+    for (const std::string& n : node.distribute->names) {
+      auto it = before_.find(to_upper(n));
+      if (it == before_.end() || !env_.has(n)) continue;
       const DistArray& array = env_.find(n);
       if (!array.is_created()) continue;
       if (it->second.same_mapping(env_.distribution_of(array))) {
@@ -317,42 +204,10 @@ class Analyzer {
 
   // --- array-section assignment --------------------------------------------
 
-  void visit_array_assign(const AstNode& node) {
-    const dir::AstArrayAssign& assign = *node.array_assign;
-    dir::BoundArrayAssign bound;
-    try {
-      bound = binder_.bind_array_assign(assign);
-    } catch (const ConformanceError& e) {
-      diag("HF001", Severity::kError, e.message(),
-           e.located() ? e.line() : node.line, e.column());
-      return;
-    } catch (const HpfError& e) {
-      diag("HF001", Severity::kError, e.what(), node.line);
-      return;
-    }
-
-    // HF002: the RHS must conform with the target section (§2.4 shapes
-    // with unit dimensions squeezed; scalar-shaped operands broadcast).
-    const std::vector<Extent> lhs_shape = squeezed_shape(bound.section);
-    try {
-      const std::vector<Extent> rhs_shape = bound.rhs.shape();
-      if (!rhs_shape.empty() && rhs_shape != lhs_shape) {
-        diag("HF002", Severity::kError,
-             cat("right-hand side of shape ", shape_string(rhs_shape),
-                 " does not conform with target section ",
-                 render_section(assign.name, bound.section), " of shape ",
-                 shape_string(lhs_shape)),
-             node.line, assign.column);
-        return;
-      }
-    } catch (const ConformanceError& e) {
-      diag("HF002", Severity::kError, e.message(),
-           e.located() ? e.line() : node.line, e.column());
-      return;
-    }
-
+  void assign(const AstNode& node,
+              const dir::BoundArrayAssign& bound) override {
     std::vector<const AstSecExpr*> refs;
-    collect_array_refs(assign.rhs, env_, &refs);
+    collect_array_refs(node.array_assign->rhs, env_, &refs);
     const std::vector<SecLeaf> leaves = bound.rhs.leaves();
     const Distribution& lhs_dist = env_.distribution_of(*bound.lhs);
 
@@ -360,11 +215,15 @@ class Analyzer {
     // leaf of THIS statement — the fix-it must satisfy all of an array's
     // leaves at once (U(i-1)+U(i+1) needs SHADOW U(1:1), not two one-sided
     // declarations that each leave the other leaf exposed-sync).
+    std::vector<std::optional<std::vector<Extent>>> shifts;
     std::map<std::string, std::vector<ShadowWidth>> stmt_needed;
     for (const SecLeaf& leaf : leaves) {
       const DistArray& array = env_.array(leaf.array);
-      accumulate_requirement(array, lhs_dist, bound.section, *leaf.section,
-                             &stmt_needed);
+      shifts.push_back(
+          postable_shift(array, lhs_dist, bound.section, *leaf.section));
+      if (shifts.back()) {
+        accumulate_requirement(array, *shifts.back(), &stmt_needed);
+      }
     }
 
     StatementComm stmt;
@@ -379,12 +238,8 @@ class Analyzer {
           classify_operand_comm(lhs_dist, bound.section,
                                 env_.distribution_of(array), *leaf.section,
                                 array.shadow());
-      OperandComm op;
-      op.array = array.name();
-      op.rendered = render_section(array.name(), *leaf.section);
-      op.line = line;
-      op.column = column;
-      op.comm = comm;
+      OperandComm op{array.name(), render_section(array.name(), *leaf.section),
+                     line, column, comm};
 
       switch (comm) {
         case CommClass::kLocal:
@@ -407,8 +262,10 @@ class Analyzer {
                    ": SYNC-REMOTE — remote reads outside ghost cells "
                    "block the statement"),
                line, column);
-          check_shadow_shortfall(array, lhs_dist, bound.section,
-                                 *leaf.section, stmt_needed, line, column);
+          if (shifts[l]) {
+            check_shadow_shortfall(array, *shifts[l], *leaf.section,
+                                   stmt_needed, line, column);
+          }
           break;
       }
       stmt.operands.push_back(std::move(op));
@@ -436,34 +293,40 @@ class Analyzer {
     }
   }
 
-  /// If this leaf is a pure per-dimension shift of the target section on a
+  /// The leaf's per-dimension shift of the target section when it is the
+  /// one shape a SHADOW declaration can post: a pure, nonzero shift on a
   /// structurally identical mapping whose shifted dimensions are all
-  /// collapsed or contiguous — i.e. the one shape a SHADOW declaration can
-  /// post — folds its width requirement (declared ∪ |shift| per side) into
-  /// `needed` under the array's case-folded name.
-  void accumulate_requirement(
+  /// collapsed or contiguous. nullopt otherwise.
+  std::optional<std::vector<Extent>> postable_shift(
       const DistArray& array, const Distribution& lhs_dist,
       const std::vector<Triplet>& lhs_section,
-      const std::vector<Triplet>& leaf_section,
-      std::map<std::string, std::vector<ShadowWidth>>* needed) {
-    const std::optional<std::vector<Extent>> shifts =
+      const std::vector<Triplet>& leaf_section) const {
+    std::optional<std::vector<Extent>> shifts =
         section_shift(lhs_section, leaf_section);
-    if (!shifts) return;
-    bool shifted = false;
-    for (Extent s : *shifts) shifted |= (s != 0);
-    if (!shifted) return;
     const Distribution& dist = env_.distribution_of(array);
-    if (lhs_dist.kind() != Distribution::Kind::kFormats ||
+    if (!shifts || lhs_dist.kind() != Distribution::Kind::kFormats ||
         dist.kind() != Distribution::Kind::kFormats ||
         !lhs_dist.structurally_equal(dist)) {
-      return;
+      return std::nullopt;
     }
+    bool shifted = false;
     for (std::size_t d = 0; d < shifts->size(); ++d) {
       if ((*shifts)[d] == 0) continue;
+      shifted = true;
       const DimMapping& m = dist.dim_mapping(static_cast<int>(d));
-      if (m.kind() == FormatKind::kCollapsed) continue;
-      if (!m.is_contiguous()) return;  // no shadow can post this leaf
+      if (m.kind() != FormatKind::kCollapsed && !m.is_contiguous()) {
+        return std::nullopt;  // no shadow can post this leaf
+      }
     }
+    if (!shifted) return std::nullopt;
+    return shifts;
+  }
+
+  /// Folds a postable leaf's width requirement (declared ∪ |shift| per
+  /// side) into `needed` under the array's case-folded name.
+  void accumulate_requirement(
+      const DistArray& array, const std::vector<Extent>& shifts,
+      std::map<std::string, std::vector<ShadowWidth>>* needed) {
     std::vector<ShadowWidth>& widths = (*needed)[to_upper(array.name())];
     if (widths.empty()) {
       widths.resize(static_cast<std::size_t>(array.rank()));
@@ -472,8 +335,8 @@ class Analyzer {
         widths[d] = declared[d];
       }
     }
-    for (std::size_t d = 0; d < shifts->size() && d < widths.size(); ++d) {
-      const Extent shift = (*shifts)[d];
+    for (std::size_t d = 0; d < shifts.size() && d < widths.size(); ++d) {
+      const Extent shift = shifts[d];
       if (shift > 0) {
         widths[d].right = std::max(widths[d].right, shift);
       } else if (shift < 0) {
@@ -482,36 +345,24 @@ class Analyzer {
     }
   }
 
-  /// HS001: the operand went SYNC for want of shadow alone — a pure shift
-  /// on the right mapping whose declared widths are just too narrow. The
-  /// fix-it is the minimal SHADOW declaration that posts every such leaf
-  /// of the statement (from `stmt_needed`, see visit_array_assign).
+  /// HS001: the operand went SYNC for want of shadow alone — a postable
+  /// shift whose declared widths are just too narrow. The fix-it is the
+  /// minimal SHADOW declaration that posts every such leaf of the
+  /// statement (from `stmt_needed`, see assign).
   void check_shadow_shortfall(
-      const DistArray& array, const Distribution& lhs_dist,
-      const std::vector<Triplet>& lhs_section,
+      const DistArray& array, const std::vector<Extent>& shifts,
       const std::vector<Triplet>& leaf_section,
       const std::map<std::string, std::vector<ShadowWidth>>& stmt_needed,
       int line, int column) {
-    const std::optional<std::vector<Extent>> shifts =
-        section_shift(lhs_section, leaf_section);
-    if (!shifts) return;
-    bool shifted = false;
-    for (Extent s : *shifts) shifted |= (s != 0);
-    if (!shifted) return;
     const Distribution& dist = env_.distribution_of(array);
-    if (lhs_dist.kind() != Distribution::Kind::kFormats ||
-        dist.kind() != Distribution::Kind::kFormats ||
-        !lhs_dist.structurally_equal(dist)) {
-      return;
-    }
     const std::vector<ShadowWidth>& declared = array.shadow();
     std::string shortfall;
-    for (std::size_t d = 0; d < shifts->size(); ++d) {
-      const Extent shift = (*shifts)[d];
-      if (shift == 0) continue;
-      const DimMapping& m = dist.dim_mapping(static_cast<int>(d));
-      if (m.kind() == FormatKind::kCollapsed) continue;
-      if (!m.is_contiguous()) return;  // no shadow can post this one
+    for (std::size_t d = 0; d < shifts.size(); ++d) {
+      const Extent shift = shifts[d];
+      if (dist.dim_mapping(static_cast<int>(d)).kind() ==
+          FormatKind::kCollapsed) {
+        continue;  // every owner holds the whole dimension
+      }
       const Extent left = d < declared.size() ? declared[d].left : 0;
       const Extent right = d < declared.size() ? declared[d].right : 0;
       if (shift > 0 && right < shift) {
@@ -530,9 +381,8 @@ class Analyzer {
          line, column,
          "a pure stencil shift on an identical mapping posts as a halo "
          "exchange once the declared shadow covers it",
-         it != stmt_needed.end()
-             ? render_shadow_fixit(array.name(), it->second)
-             : "");
+         it != stmt_needed.end() ? shadow_directive(array.name(), it->second)
+                                 : "");
   }
 
   // --- end-of-program (dead-directive) checks ------------------------------
@@ -569,18 +419,9 @@ class Analyzer {
     }
   }
 
-  static std::string shape_string(const std::vector<Extent>& shape) {
-    std::string out = "(";
-    for (std::size_t d = 0; d < shape.size(); ++d) {
-      if (d) out += "x";
-      out += cat(shape[d]);
-    }
-    return out + ")";
-  }
-
   const AstProgram* program_;
-  DataEnv env_;
-  Binder binder_;
+  StaticWalk walk_;
+  const DataEnv& env_;  // the walk's
   AnalysisResult result_;
   std::map<std::string, int> arity_;         // subroutine -> dummy count
   std::map<std::string, int> decl_line_;     // case-folded name -> line
@@ -589,9 +430,21 @@ class Analyzer {
   std::set<std::string> mapped_;       // named in any mapping directive
   std::set<std::string> remapped_;     // named in an executable remap
   std::set<std::string> shadow_used_;  // shadow covered a posted operand
+  // REDISTRIBUTE operand -> its mapping before the directive (HL006)
+  std::map<std::string, Distribution> before_;
 };
 
 }  // namespace
+
+std::string shadow_directive(const std::string& name,
+                             const std::vector<ShadowWidth>& widths) {
+  std::string out = "SHADOW " + name + "(";
+  for (std::size_t d = 0; d < widths.size(); ++d) {
+    if (d) out += ",";
+    out += cat(widths[d].left, ":", widths[d].right);
+  }
+  return out + ")";
+}
 
 AnalysisResult analyze_program(ProcessorSpace& space,
                                const AstProgram& program) {
@@ -600,21 +453,10 @@ AnalysisResult analyze_program(ProcessorSpace& space,
 
 AnalysisResult analyze_script(ProcessorSpace& space,
                               const std::string& source) {
-  AstProgram program;
-  try {
-    program = dir::parse_program(source);
-  } catch (const DirectiveError& e) {
-    AnalysisResult result;
-    Diagnostic d;
-    d.code = "HF000";
-    d.severity = Severity::kError;
-    d.message = e.what();
-    d.line = e.line();
-    d.column = e.column();
-    result.diagnostics.push_back(std::move(d));
-    return result;
-  }
-  return analyze_program(space, program);
+  AnalysisResult result;
+  const std::optional<AstProgram> program =
+      parse_script(source, &result.diagnostics);
+  return program ? analyze_program(space, *program) : result;
 }
 
 }  // namespace hpfnt::analysis

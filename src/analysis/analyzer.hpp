@@ -3,11 +3,11 @@
 // The paper's central claim is that data mappings are *statically known*:
 // a distribution or alignment directive determines ownership — and hence
 // the communication every owner-computes statement induces — without
-// running the program. This module cashes that claim in: it walks a parsed
-// directive program, binds every directive against a DataEnv exactly as
-// the interpreter would (mapping bookkeeping only — no ProgramState, no
-// storage, no data motion), and classifies every executable statement's
-// communication before a single element exists.
+// running the program. This module cashes that claim in. It is a visitor
+// of the static walk (analysis/walk.hpp), which binds the script as the
+// interpreter would and reports the HF/HL errors, for the cost model too.
+// The analyzer keeps only its own bookkeeping: HL004-HL006, HP, the HC
+// classification of every operand, HS shadow checks and HD checks.
 //
 // The analyzer and the executor share one classification function,
 // exec/overlap.hpp::classify_operand_comm — the same predicate that sets
@@ -22,9 +22,10 @@
 //   ------  -------  -----------------------------------------------------
 //   HF000   error    script does not parse (front-end DirectiveError)
 //   HF001   error    statement rejected at bind time (unknown name,
-//                    subscripted scalar, bad section, READ, ...)
-//   HF002   error    operand shape does not conform with the assignment's
-//                    section shape (squeezed-extent mismatch, §2.4)
+//                    subscripted scalar, bad section, READ, ...) or target
+//                    section outside its array (the assignment gate)
+//   HF002   error    right-hand side does not conform with the target
+//                    section (squeezed-extent mismatch, §2.4; the gate)
 //   HL001   error    REALIGN/ALIGN of an array with itself (cycle)
 //   HL002   error    ALIGN/REALIGN onto a secondary base — the alignment
 //                    forest keeps height <= 1; align to the base's primary
@@ -113,5 +114,10 @@ AnalysisResult analyze_program(ProcessorSpace& space,
 /// HF000 diagnostic instead of a throw.
 AnalysisResult analyze_script(ProcessorSpace& space,
                               const std::string& source);
+
+/// "SHADOW NAME(l:r,...)": the HS001 fix-it, and (after "!HPF$ ") the
+/// directive --fix writes.
+std::string shadow_directive(const std::string& name,
+                             const std::vector<ShadowWidth>& widths);
 
 }  // namespace hpfnt::analysis

@@ -3,14 +3,8 @@
 #include <map>
 #include <utility>
 
-#include "core/data_env.hpp"
-#include "core/layout_view.hpp"
-#include "directives/binder.hpp"
-#include "directives/parser.hpp"
-#include "exec/comm_plan.hpp"
-#include "exec/overlap.hpp"
+#include "analysis/walk.hpp"
 #include "exec/pricing.hpp"
-#include "support/error.hpp"
 #include "support/strings.hpp"
 
 namespace hpfnt::analysis {
@@ -19,7 +13,6 @@ namespace {
 
 using dir::AstNode;
 using dir::AstProgram;
-using dir::Binder;
 
 /// Adapts the storage-free StepPricer to the Engine concept the shared
 /// charge walks (exec/pricing.hpp) expect: the walks signal phases via
@@ -38,134 +31,46 @@ struct PricerSink {
   void compute(ApId p, Extent flops) { pricer->compute(p, flops); }
 };
 
-std::string render_section(const std::string& name,
-                           const std::vector<Triplet>& section) {
-  std::string out = name + "(";
-  for (std::size_t d = 0; d < section.size(); ++d) {
-    if (d) out += ",";
-    out += section[d].to_string();
-  }
-  return out + ")";
-}
-
-bool is_mapping_directive(AstNode::Kind kind) {
-  switch (kind) {
-    case AstNode::Kind::kProcessors:
-    case AstNode::Kind::kDistribute:
-    case AstNode::Kind::kAlign:
-    case AstNode::Kind::kDynamic:
-    case AstNode::Kind::kTemplate:
-    case AstNode::Kind::kInherit:
-    case AstNode::Kind::kShadow:
-      return true;
-    default:
-      return false;
-  }
-}
-
-class CostModel {
+class CostModel : public WalkVisitor {
  public:
   CostModel(const Machine& machine, ProcessorSpace& space,
             const AstProgram& program, const CostOptions& options)
       : machine_(&machine),
         program_(&program),
         options_(options),
-        env_(space),
-        binder_(space, env_) {}
+        walk_(space) {}
 
   CostReport run() {
-    for (const AstNode& node : program_->main) visit(node);
+    walk_.run(*program_, *this);
     report_.plans_priced = static_cast<Extent>(key_ids_.size());
+    report_.diagnostics = walk_.take_diagnostics();
     return std::move(report_);
   }
 
  private:
-  void diag(std::string code, Severity severity, std::string message,
-            int line, std::string note = "") {
-    Diagnostic d;
-    d.code = std::move(code);
-    d.severity = severity;
-    d.message = std::move(message);
-    d.line = line;
-    d.note = std::move(note);
-    report_.diagnostics.push_back(std::move(d));
+  void unbound(const AstNode& node) override {
+    if (node.kind == AstNode::Kind::kStats) return;  // nothing to price
+    // CALL bodies and the data- and RNG-dependent fault controls are not
+    // priced statically: record the gap rather than under-count silently.
+    StatementCost stmt;
+    stmt.kind = StatementCost::Kind::kUnmodeled;
+    stmt.line = node.line;
+    stmt.label = node.kind == AstNode::Kind::kCall
+                     ? "CALL " + node.call->procedure
+                 : node.kind == AstNode::Kind::kFaults     ? "FAULTS"
+                 : node.kind == AstNode::Kind::kCheckpoint ? "CHECKPOINT"
+                 : node.kind == AstNode::Kind::kRestore    ? "RESTORE"
+                                                           : "FAIL_PROC";
+    stmt.text = stmt.label;
+    report_.statements.push_back(std::move(stmt));
+    ++report_.unmodeled;
   }
 
-  /// Binds one node, converting front-end throws into the same diagnostics
-  /// analysis/analyzer.hpp emits (HL003 for mapping directives, HF001 for
-  /// statements); the node's effects are skipped on failure. Remap events,
-  /// when requested, surface in `events`.
-  bool apply(const AstNode& node, std::vector<RemapEvent>* events = nullptr) {
-    const char* code = is_mapping_directive(node.kind) ? "HL003" : "HF001";
-    try {
-      std::vector<RemapEvent> local;
-      binder_.apply(node, events ? events : &local);
-      return true;
-    } catch (const DirectiveError& e) {
-      diag(code, Severity::kError, e.what(), e.line());
-    } catch (const ConformanceError& e) {
-      diag(code, Severity::kError, e.message(),
-           e.located() ? e.line() : node.line);
-    } catch (const HpfError& e) {
-      diag(code, Severity::kError, e.what(), node.line);
-    }
-    return false;
-  }
-
-  void visit(const AstNode& node) {
-    switch (node.kind) {
-      case AstNode::Kind::kStats:
-        return;  // runtime counter snapshot; nothing to price
-      case AstNode::Kind::kCall: {
-        // Callee effects (argument copies, body statements, restores) are
-        // not priced statically; record the gap rather than under-counting
-        // silently.
-        StatementCost stmt;
-        stmt.kind = StatementCost::Kind::kUnmodeled;
-        stmt.line = node.line;
-        stmt.label = "CALL " + node.call->procedure;
-        stmt.text = stmt.label;
-        report_.statements.push_back(std::move(stmt));
-        ++report_.unmodeled;
-        return;
-      }
-      case AstNode::Kind::kFaults:
-      case AstNode::Kind::kCheckpoint:
-      case AstNode::Kind::kRestore:
-      case AstNode::Kind::kFailProc: {
-        // Fault-injection and recovery are data- and RNG-dependent: their
-        // cost cannot be predicted from mappings alone. Record the gap.
-        StatementCost stmt;
-        stmt.kind = StatementCost::Kind::kUnmodeled;
-        stmt.line = node.line;
-        stmt.label = node.kind == AstNode::Kind::kFaults       ? "FAULTS"
-                     : node.kind == AstNode::Kind::kCheckpoint ? "CHECKPOINT"
-                     : node.kind == AstNode::Kind::kRestore    ? "RESTORE"
-                                                               : "FAIL_PROC";
-        stmt.text = stmt.label;
-        report_.statements.push_back(std::move(stmt));
-        ++report_.unmodeled;
-        return;
-      }
-      case AstNode::Kind::kArrayAssign:
-        visit_array_assign(node);
-        return;
-      case AstNode::Kind::kDistribute:
-      case AstNode::Kind::kAlign: {
-        const bool executable = node.kind == AstNode::Kind::kDistribute
-                                    ? node.distribute->executable
-                                    : node.align->executable;
-        std::vector<RemapEvent> events;
-        if (!apply(node, executable ? &events : nullptr)) return;
-        // Each event is one priced step in the executor (apply_remaps);
-        // specification-part mappings move nothing and price nothing.
-        for (const RemapEvent& e : events) price_remap(node, e);
-        return;
-      }
-      default:
-        apply(node);
-        return;
-    }
+  // Each remap event is one priced step in the executor (apply_remaps);
+  // specification-part mappings move nothing and price nothing.
+  void bound(const AstNode& node,
+             const std::vector<RemapEvent>& events) override {
+    for (const RemapEvent& e : events) price_remap(node, e);
   }
 
   // --- pricing, through the shared executor code ---------------------------
@@ -206,121 +111,61 @@ class CostModel {
       for (const PairFlow& f : stmt.traffic) {
         if (!heaviest || f.bytes > heaviest->bytes) heaviest = &f;
       }
-      diag("HX001", Severity::kNote,
-           cat("statement '", stmt.text, "': predicted ", stmt.stats.bytes,
-               " bytes in ", stmt.stats.messages, " messages, ",
-               stmt.exposed_us(), "us exposed communication"),
-           stmt.line,
-           heaviest ? cat("heaviest pair: processor ", heaviest->src, " -> ",
-                          heaviest->dst, " (", heaviest->bytes, " bytes, ",
-                          heaviest->posted ? "posted" : "sync", ")")
-                    : "");
+      walk_.report(
+          "HX001", Severity::kNote,
+          cat("statement '", stmt.text, "': predicted ", stmt.stats.bytes,
+              " bytes in ", stmt.stats.messages, " messages, ",
+              stmt.exposed_us(), "us exposed communication"),
+          stmt.line, 0,
+          heaviest ? cat("heaviest pair: processor ", heaviest->src, " -> ",
+                         heaviest->dst, " (", heaviest->bytes, " bytes, ",
+                         heaviest->posted ? "posted" : "sync", ")")
+                   : "");
     }
     if (stmt.replay_of >= 0) {
       const StatementCost& first =
           report_.statements[static_cast<std::size_t>(stmt.replay_of)];
-      diag("HX002", Severity::kNote,
-           cat("statement '", stmt.text, "': plan key #", stmt.key_id,
-               " repeats the statement at line ", first.line,
-               " — the executor replays the memoized plan instead of "
-               "re-pricing"),
-           stmt.line);
+      walk_.report("HX002", Severity::kNote,
+                   cat("statement '", stmt.text, "': plan key #",
+                       stmt.key_id, " repeats the statement at line ",
+                       first.line,
+                       " — the executor replays the memoized plan instead "
+                       "of re-pricing"),
+                   stmt.line);
     }
     report_.statements.push_back(std::move(stmt));
   }
 
   /// One array-section assignment, priced exactly as exec/assign.cpp
-  /// prices it: same conformance gate, same phase classification, same
-  /// charge walk, same key builder — with a StepPricer standing in for the
-  /// recording CommEngine.
-  void visit_array_assign(const AstNode& node) {
-    const dir::AstArrayAssign& assign = *node.array_assign;
-    dir::BoundArrayAssign bound;
-    try {
-      bound = binder_.bind_array_assign(assign);
-      bound.lhs->domain().validate_section(bound.section);
-    } catch (const ConformanceError& e) {
-      diag("HF001", Severity::kError, e.message(),
-           e.located() ? e.line() : node.line);
-      return;
-    } catch (const HpfError& e) {
-      diag("HF001", Severity::kError, e.what(), node.line);
-      return;
-    }
-
-    // The executor's conformance gate (assign_impl): shapes match after
-    // squeezing unit dimensions, or the statement throws before pricing.
-    const std::vector<Extent> lhs_shape = squeezed_shape(
-        bound.lhs->domain().section_domain(bound.section).dims());
-    try {
-      const std::vector<Extent> rhs_shape = bound.rhs.shape();
-      if (!rhs_shape.empty() && rhs_shape != lhs_shape) {
-        diag("HF002", Severity::kError,
-             cat("right-hand side does not conform with target section ",
-                 render_section(assign.name, bound.section),
-                 " (after squeezing unit dimensions)"),
-             node.line);
-        return;
-      }
-    } catch (const ConformanceError& e) {
-      diag("HF002", Severity::kError, e.message(),
-           e.located() ? e.line() : node.line);
-      return;
-    }
-
-    const Extent bytes = elem_bytes(bound.lhs->type());
-    const Extent flops = bound.rhs.flops_per_element();
-    const Distribution& lhs_dist = env_.distribution_of(*bound.lhs);
-    const std::vector<SecLeaf>& leaves = bound.rhs.program().leaves();
-
-    // Phase classification through the shared predicate, over the same
-    // inputs the executor reads from its ProgramState (layout and shadow
-    // track the DataEnv exactly — the interpreter re-creates storage on
-    // every mapping/shadow change).
-    std::vector<char> posted(leaves.size(), 0);
-    if (options_.overlap) {
-      for (std::size_t l = 0; l < leaves.size(); ++l) {
-        const DistArray& array = env_.array(leaves[l].array);
-        posted[l] = classify_operand_comm(lhs_dist, bound.section,
-                                          env_.distribution_of(array),
-                                          *leaves[l].section,
-                                          array.shadow()) ==
-                    CommClass::kPosted;
-      }
-    }
-
+  /// prices it: the walk passed it through the executor's gate, and the
+  /// executor's schedule (exec/pricing.hpp) classifies its operands, keys
+  /// it and charges it — with a StepPricer standing in for the recording
+  /// CommEngine, over the layouts and shadows the walk's DataEnv holds
+  /// (the interpreter re-creates storage on every mapping/shadow change,
+  /// so they are the ones the executor reads).
+  void assign(const AstNode& node,
+              const dir::BoundArrayAssign& bound) override {
+    const DataEnv& env = walk_.env();
     StatementCost stmt;
     stmt.kind = StatementCost::Kind::kAssign;
     stmt.line = node.line;
-    stmt.label = assign.name;  // the step label hpfnt::assign is given
-    stmt.text = render_section(assign.name, bound.section) + " = <expr>";
-    stmt.posted_leaves = posted;
+    stmt.label = node.array_assign->name;  // the step label assign is given
+    stmt.text = render_section(stmt.label, bound.section) + " = <expr>";
 
-    std::vector<AssignKeyLeaf> key_leaves;
-    key_leaves.reserve(leaves.size());
-    for (std::size_t l = 0; l < leaves.size(); ++l) {
-      const DistArray& array = env_.array(leaves[l].array);
-      key_leaves.push_back({&env_.distribution_of(array),
-                            leaves[l].section, leaves[l].bytes,
-                            posted[l] != 0, &array.shadow()});
-    }
-    stmt.plan_key =
-        assign_plan_key(lhs_dist, bound.section, bytes, flops, key_leaves);
-
-    const LayoutView lhs_view(lhs_dist, bound.section);
-    std::vector<LayoutView> leaf_views;
-    std::vector<Extent> leaf_bytes;
-    leaf_views.reserve(leaves.size());
-    leaf_bytes.reserve(leaves.size());
-    for (const SecLeaf& leaf : leaves) {
-      leaf_views.emplace_back(env_.distribution_of(env_.array(leaf.array)),
-                              *leaf.section);
-      leaf_bytes.push_back(leaf.bytes);
-    }
     StepPricer pricer(machine_->cost());
     PricerSink sink{&pricer};
-    charge_assign_step(lhs_view, leaf_views, leaf_bytes, posted, bytes,
-                       flops, sink);
+    stmt.posted_leaves = schedule_assign(
+        env.distribution_of(*bound.lhs), bound.section,
+        bound.rhs.program().leaves(), elem_bytes(bound.lhs->type()),
+        bound.rhs.flops_per_element(), options_.overlap, /*keyed=*/true,
+        [&](const SecLeaf& leaf) {
+          const DistArray& array = env.array(leaf.array);
+          return LeafLayout{&env.distribution_of(array), &array.shadow()};
+        },
+        [&](std::string& key, auto& charge) {
+          stmt.plan_key = std::move(key);
+          charge(sink);
+        });
     seal(std::move(stmt), pricer);
   }
 
@@ -328,33 +173,28 @@ class CostModel {
   /// it (the memory deltas are the executor's business; StepStats carries
   /// none).
   void price_remap(const AstNode& node, const RemapEvent& event) {
-    const DistArray& array = env_.array(event.dummy);
+    const DistArray& array = walk_.env().array(event.dummy);
     if (!event.from.valid() || !event.to.valid()) return;
 
     StatementCost stmt;
     stmt.kind = StatementCost::Kind::kRemap;
     stmt.line = node.line;
-    stmt.label =
-        event.reason.empty() ? ("remap " + array.name()) : event.reason;
+    stmt.label = remap_step_label(event, array.name());
     stmt.text = stmt.label;
 
     const Extent bytes = elem_bytes(array.type());
     stmt.plan_key = remap_plan_key(event.from, event.to, bytes);
 
-    const LayoutView from_view = LayoutView::whole(event.from);
-    const LayoutView to_view = LayoutView::whole(event.to);
     StepPricer pricer(machine_->cost());
     PricerSink sink{&pricer};
-    charge_remap_step(from_view, to_view, bytes, sink,
-                      [](ApId, Extent) {});
+    charge_remap_step(event.from, event.to, bytes, sink, [](ApId, Extent) {});
     seal(std::move(stmt), pricer);
   }
 
   const Machine* machine_;
   const AstProgram* program_;
   CostOptions options_;
-  DataEnv env_;
-  Binder binder_;
+  StaticWalk walk_;
   CostReport report_;
   // plan key -> (1-based key id, index of the first statement priced
   // under it)
@@ -371,22 +211,12 @@ CostReport cost_program(const Machine& machine, ProcessorSpace& space,
 
 CostReport cost_script(const Machine& machine, const std::string& source,
                        const CostOptions& options) {
-  dir::AstProgram program;
-  try {
-    program = dir::parse_program(source);
-  } catch (const DirectiveError& e) {
-    CostReport report;
-    Diagnostic d;
-    d.code = "HF000";
-    d.severity = Severity::kError;
-    d.message = e.what();
-    d.line = e.line();
-    d.column = e.column();
-    report.diagnostics.push_back(std::move(d));
-    return report;
-  }
+  CostReport report;
+  const std::optional<AstProgram> program =
+      parse_script(source, &report.diagnostics);
+  if (!program) return report;
   ProcessorSpace space(machine.processors());
-  return cost_program(machine, space, program, options);
+  return cost_program(machine, space, *program, options);
 }
 
 }  // namespace hpfnt::analysis

@@ -5,20 +5,17 @@
 // COMPLETE priced communication schedule of every statement — bytes,
 // messages, the per-processor-pair traffic matrix, the posted/sync phase
 // split, and the max(compute, posted) + sync time bound — is computable
-// before a single element exists. This module cashes that in: it walks a
-// parsed program with a Binder/DataEnv exactly as analysis/analyzer.hpp
-// does (mapping bookkeeping only, no ProgramState, no storage), and prices
-// every assignment and remap through the SAME code the executor runs:
+// before a single element exists. This module cashes that in. It is a
+// visitor of the static walk the linter uses too (analysis/walk.hpp: one
+// parse, one bind, one assignment gate, one set of HF/HL errors) and
+// keeps only the HX pricing, which runs the SAME code the executor runs:
 //
-//   * the charge walks  — exec/pricing.hpp (charge_assign_step,
-//     charge_remap_step), driven here with a storage-free StepPricer sink
-//     instead of a recording CommEngine;
-//   * the phase rule    — exec/overlap.hpp::classify_operand_comm, the
-//     predicate that sets the executor's PlanTransfer::posted bits;
-//   * the arithmetic    — machine/step_pricer.hpp::StepPricer::price, the
-//     function CommEngine::end_step seals StepStats from;
-//   * the plan keys     — exec/comm_plan.hpp::assign_plan_key /
-//     remap_plan_key, the builders the executor caches plans under.
+//   * the schedule   — exec/pricing.hpp::schedule_assign (phase rule
+//     classify_operand_comm, plan key assign_plan_key, charge walk) and
+//     charge_remap_step (key remap_plan_key), driven with a StepPricer
+//     sink instead of a recording CommEngine;
+//   * the arithmetic — machine/step_pricer.hpp::StepPricer::price, the
+//     function CommEngine::end_step seals StepStats from.
 //
 // Predictions are therefore differential BY CONSTRUCTION: a predicted
 // StepStats is byte-for-byte (doubles included — the pricer walks pairs in
@@ -116,9 +113,9 @@ struct CostOptions {
 
 /// Prices a parsed program against a machine's cost parameters. Directives
 /// are bound (mapping bookkeeping only) so later statements see the
-/// mappings earlier directives established; nothing executes. Bind
-/// failures become HF001/HL003 error diagnostics and the offending
-/// statement is skipped, exactly as analysis/analyzer.hpp reports them.
+/// mappings earlier directives established; nothing executes. A statement
+/// that fails the walk is skipped, with the same HF/HL error
+/// analysis/analyzer.hpp reports for it.
 CostReport cost_program(const Machine& machine, ProcessorSpace& space,
                         const dir::AstProgram& program,
                         const CostOptions& options = {});

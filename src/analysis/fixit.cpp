@@ -4,9 +4,8 @@
 #include <map>
 
 #include "analysis/analyzer.hpp"
+#include "analysis/walk.hpp"
 #include "directives/ast.hpp"
-#include "directives/parser.hpp"
-#include "support/error.hpp"
 #include "support/strings.hpp"
 
 namespace hpfnt::analysis {
@@ -14,8 +13,8 @@ namespace hpfnt::analysis {
 namespace {
 
 /// Parses one analyzer fix-it, "SHADOW <name>(<l>:<r>[,<l>:<r>...])", back
-/// into its parts. The renderer (analysis/analyzer.cpp,
-/// render_shadow_fixit) is the only producer, so the grammar is exact;
+/// into its parts. The renderer (analysis/analyzer.hpp,
+/// shadow_directive) is the only producer, so the grammar is exact;
 /// anything else is ignored.
 bool parse_fixit(const std::string& fixit, std::string* name,
                  std::vector<ShadowWidth>* widths) {
@@ -43,30 +42,18 @@ bool parse_fixit(const std::string& fixit, std::string* name,
   return !widths->empty();
 }
 
-std::string render_directive(const std::string& name,
-                             const std::vector<ShadowWidth>& widths) {
-  std::string out = "!HPF$ SHADOW " + name + "(";
-  for (std::size_t d = 0; d < widths.size(); ++d) {
-    if (d) out += ",";
-    out += cat(widths[d].left, ":", widths[d].right);
-  }
-  return out + ")";
-}
-
 }  // namespace
 
 FixPlan plan_shadow_fixes(ProcessorSpace& space, const std::string& source) {
   FixPlan plan;
-  dir::AstProgram program;
-  try {
-    program = dir::parse_program(source);
-  } catch (const HpfError&) {
-    return plan;  // unparseable: nothing to fix textually
-  }
+  std::vector<Diagnostic> parse_errors;
+  const std::optional<dir::AstProgram> program =
+      parse_script(source, &parse_errors);
+  if (!program) return plan;  // unparseable: nothing to fix textually
 
   // Union the widths every HS001 asks for, per array (max per side per
   // dimension): one declaration must satisfy every statement at once.
-  const AnalysisResult result = analyze_program(space, program);
+  const AnalysisResult result = analyze_program(space, *program);
   std::map<std::string, std::pair<std::string, std::vector<ShadowWidth>>>
       needed;  // case-folded name -> (name as rendered, widths)
   for (const Diagnostic& d : result.diagnostics) {
@@ -97,7 +84,7 @@ FixPlan plan_shadow_fixes(ProcessorSpace& space, const std::string& source) {
     int& at = anchor_line[to_upper(name)];
     at = std::max(at, line);
   };
-  for (const dir::AstNode& node : program.main) {
+  for (const dir::AstNode& node : program->main) {
     switch (node.kind) {
       case dir::AstNode::Kind::kShadow:
         shadow_line[to_upper(node.shadow->name)] = node.line;
@@ -126,7 +113,7 @@ FixPlan plan_shadow_fixes(ProcessorSpace& space, const std::string& source) {
     ShadowFix fix;
     fix.array = entry.first;
     fix.widths = entry.second;
-    fix.directive = render_directive(entry.first, entry.second);
+    fix.directive = "!HPF$ " + shadow_directive(entry.first, entry.second);
     auto existing = shadow_line.find(key);
     if (existing != shadow_line.end()) {
       fix.replace_line = existing->second;

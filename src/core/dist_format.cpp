@@ -100,7 +100,8 @@ bool operator==(const DistFormat& a, const DistFormat& b) {
 }
 
 namespace {
-Extent ceil_div(Extent a, Extent b) { return (a + b - 1) / b; }
+// a + b - 1 would wrap for an extent near the Extent maximum.
+Extent ceil_div(Extent a, Extent b) { return a / b + (a % b != 0); }
 }  // namespace
 
 struct DimMapping::SegmentMemo {

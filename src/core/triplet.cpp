@@ -87,4 +87,14 @@ std::vector<Extent> squeezed_shape(const std::vector<Triplet>& section) {
   return shape;
 }
 
+std::string render_section(const std::string& name,
+                           const std::vector<Triplet>& section) {
+  std::string out = name + "(";
+  for (std::size_t d = 0; d < section.size(); ++d) {
+    if (d) out += ",";
+    out += section[d].to_string();
+  }
+  return out + ")";
+}
+
 }  // namespace hpfnt

@@ -89,4 +89,8 @@ class Triplet {
 /// section expressions).
 std::vector<Extent> squeezed_shape(const std::vector<Triplet>& section);
 
+/// "NAME(l:u[:s],...)" — how diagnostics and reports name a section.
+std::string render_section(const std::string& name,
+                           const std::vector<Triplet>& section);
+
 }  // namespace hpfnt

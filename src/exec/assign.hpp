@@ -62,6 +62,16 @@ struct AssignResult {
   std::vector<char> posted_leaves;
 };
 
+/// The assignment gate, shared by the executor (every assign below calls
+/// it first) and the static passes (analysis/walk.hpp): the LHS section
+/// must lie inside the LHS's domain (MappingError otherwise), and the RHS
+/// must conform with it after squeezing unit dimensions, a scalar-shaped
+/// RHS broadcasting (ConformanceError naming both shapes otherwise).
+/// Returns the section's iteration domain.
+IndexDomain check_assignment(const DistArray& lhs,
+                             const std::vector<Triplet>& lhs_section,
+                             const SecExpr& rhs);
+
 /// LHS(section) = rhs.
 AssignResult assign(ProgramState& state, const DataEnv& env,
                     const DistArray& lhs, std::vector<Triplet> lhs_section,

@@ -1,12 +1,16 @@
 // The shared per-statement charge walks — the exec layer's owner-computes
-// pricing loops, factored so they have exactly two consumers:
+// pricing loops, factored so they have exactly two callers:
 //
 //   * the EXECUTOR: assign_impl (exec/assign.cpp) and
 //     ProgramState::apply_remap (exec/storage.cpp) drive them with a
 //     CommEngine inside an open (recording) step;
 //   * the STATIC COST MODEL (analysis/cost_model.hpp) drives them with a
-//     storage-free StepPricer sink over distributions bound by its own
-//     Binder/DataEnv — no ProgramState, no data, same charges.
+//     storage-free StepPricer sink over distributions bound by the static
+//     walk's DataEnv (analysis/walk.hpp) — no ProgramState, no data, same
+//     charges.
+//
+// The whole assignment schedule, schedule_assign, has the same two
+// callers: assign_impl and CostModel::assign. So does remap_step_label.
 //
 // Together with the shared plan-key builders (exec/comm_plan.hpp) and the
 // shared statistics arithmetic (machine/step_pricer.hpp) this makes the
@@ -20,10 +24,15 @@
 // CommEngine satisfies it directly.
 #pragma once
 
+#include <string>
 #include <vector>
 
+#include "core/data_env.hpp"
 #include "core/layout_view.hpp"
 #include "core/types.hpp"
+#include "exec/comm_plan.hpp"
+#include "exec/overlap.hpp"
+#include "exec/section_expr.hpp"
 #include "support/error.hpp"
 
 namespace hpfnt {
@@ -92,6 +101,80 @@ void charge_assign_step(const LayoutView& lhs_view,
   }
 }
 
+/// One operand's mapping as the assignment schedule reads it: its layout
+/// and its declared shadow widths.
+struct LeafLayout {
+  const Distribution* dist;
+  const std::vector<ShadowWidth>* shadow;
+};
+
+/// The schedule of one assignment step: (1) with `overlap`, leaf l is
+/// posted iff classify_operand_comm says kPosted; (2) with `keyed`, the
+/// plan key (assign_plan_key); (3) `price(key, charge)`, where
+/// `charge(engine)` builds the run tables, runs charge_assign_step into
+/// `engine` and returns the tables' ownership queries. The executor looks
+/// the key up and charges only on a miss; the cost model always charges.
+/// `layout_of(leaf)` gives the leaf's LeafLayout (ProgramState storage in
+/// the executor, the walk's DataEnv in the cost model). Returns the phase
+/// bits, in SecExpr::leaves() order.
+template <class LayoutOf, class Price>
+std::vector<char> schedule_assign(const Distribution& lhs_dist,
+                                  const std::vector<Triplet>& lhs_section,
+                                  const std::vector<SecLeaf>& leaves,
+                                  Extent elem_bytes, Extent flops,
+                                  bool overlap, bool keyed,
+                                  LayoutOf&& layout_of, Price&& price) {
+  std::vector<char> posted(leaves.size(), 0);
+  if (overlap) {
+    for (std::size_t l = 0; l < leaves.size(); ++l) {
+      const LeafLayout leaf = layout_of(leaves[l]);
+      posted[l] = classify_operand_comm(lhs_dist, lhs_section, *leaf.dist,
+                                        *leaves[l].section, *leaf.shadow) ==
+                  CommClass::kPosted;
+    }
+  }
+
+  std::string key;
+  if (keyed) {
+    std::vector<AssignKeyLeaf> key_leaves;
+    key_leaves.reserve(leaves.size());
+    for (std::size_t l = 0; l < leaves.size(); ++l) {
+      const LeafLayout leaf = layout_of(leaves[l]);
+      key_leaves.push_back({leaf.dist, leaves[l].section, leaves[l].bytes,
+                            posted[l] != 0, leaf.shadow});
+    }
+    key = assign_plan_key(lhs_dist, lhs_section, elem_bytes, flops,
+                          key_leaves);
+  }
+
+  // All sections conform, so one linear position space [0, size) indexes
+  // every run table; communication is decided per constant-owner segment.
+  auto charge = [&](auto& engine) -> Extent {
+    const LayoutView lhs_view(lhs_dist, lhs_section);
+    std::vector<LayoutView> leaf_views;
+    std::vector<Extent> leaf_bytes;
+    leaf_views.reserve(leaves.size());
+    leaf_bytes.reserve(leaves.size());
+    for (const SecLeaf& leaf : leaves) {
+      leaf_views.emplace_back(*layout_of(leaf).dist, *leaf.section);
+      leaf_bytes.push_back(leaf.bytes);
+    }
+    charge_assign_step(lhs_view, leaf_views, leaf_bytes, posted, elem_bytes,
+                       flops, engine);
+    Extent queries = lhs_view.ownership_queries();
+    for (const LayoutView& v : leaf_views) queries += v.ownership_queries();
+    return queries;
+  };
+  price(key, charge);
+  return posted;
+}
+
+/// The label of a remap step: the event's reason, else "remap <array>".
+inline std::string remap_step_label(const RemapEvent& event,
+                                    const std::string& array_name) {
+  return event.reason.empty() ? ("remap " + array_name) : event.reason;
+}
+
 /// The charge stream of one remap step (ProgramState::apply_remap): per
 /// common constant-owner segment of the old and new whole-domain layouts,
 /// every new owner lacking the value receives it from the canonical
@@ -100,9 +183,11 @@ void charge_assign_step(const LayoutView& lhs_view,
 /// executor folds them into memory accounting and the recorded plan's
 /// mem_ops; the cost model passes a no-op (StepStats carries no memory).
 template <class Engine, class ReplicaFn>
-void charge_remap_step(const LayoutView& from_view, const LayoutView& to_view,
+void charge_remap_step(const Distribution& from, const Distribution& to,
                        Extent elem_bytes, Engine& engine,
                        ReplicaFn&& on_replica_delta) {
+  const LayoutView from_view = LayoutView::whole(from);
+  const LayoutView to_view = LayoutView::whole(to);
   for_each_common_segment(
       from_view.table(), to_view.table(),
       [&](Extent, Extent count, const OwnerSet& old_owners,

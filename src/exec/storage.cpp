@@ -310,8 +310,7 @@ StepStats ProgramState::apply_remap(const RemapEvent& event,
     throw ConformanceError(
         "remap event domains do not match the array's storage");
   }
-  const std::string label =
-      event.reason.empty() ? ("remap " + array.name()) : event.reason;
+  const std::string label = remap_step_label(event, array.name());
 
   // The schedule (and the memory deltas) depend only on the two layouts
   // and the element size: a recurring remap — the flip-flop of an
@@ -364,9 +363,7 @@ StepStats ProgramState::apply_remap(const RemapEvent& event,
   // shared charge_remap_step (exec/pricing.hpp); only the memory
   // accounting — replicas appearing on new owners, disappearing from old —
   // is the executor's to fold in, in charge order.
-  const LayoutView from_view = LayoutView::whole(event.from);
-  const LayoutView to_view = LayoutView::whole(event.to);
-  charge_remap_step(from_view, to_view, s.elem_bytes, comm_,
+  charge_remap_step(event.from, event.to, s.elem_bytes, comm_,
                     [&](ApId p, Extent delta) {
                       staged_ops.push_back({p, delta});
                       if (cacheable) rec->mem_ops.push_back({p, delta});

@@ -53,6 +53,13 @@ run_hpflint(1 --werror "${SCRIPTS}/bad_undershadow.hpf")
 # Errors fail.
 file(WRITE "${WORK_DIR}/undeclared.hpf" "!HPF$ DISTRIBUTE X(BLOCK)\n")
 run_hpflint(1 "${WORK_DIR}/undeclared.hpf")
+# Each script lints in its own processor space, as under --cost: two
+# scripts may declare the same arrangement.
+file(WRITE "${WORK_DIR}/procs.hpf"
+  "REAL A(8)\n!HPF$ PROCESSORS P(4)\n!HPF$ DISTRIBUTE A(BLOCK) ONTO P\n")
+file(COPY "${WORK_DIR}/procs.hpf" DESTINATION "${WORK_DIR}/again")
+run_hpflint(0 "${WORK_DIR}/procs.hpf" "${WORK_DIR}/again/procs.hpf")
+run_hpflint(0 --cost "${WORK_DIR}/procs.hpf" "${WORK_DIR}/again/procs.hpf")
 # Usage and I/O problems are status 2.
 run_hpflint(2 --bogus-flag)
 run_hpflint(2 "${WORK_DIR}/no_such_file.hpf")
@@ -88,14 +95,41 @@ check("unallocatable --exec array exits 2 with one-line message"
 file(WRITE "${WORK_DIR}/zero_stride.hpf"
   "REAL A(10)\nA(10:1:-1) = A(1:10:0)\n")
 run_hpflint(1 --exec "${WORK_DIR}/zero_stride.hpf")
-string(FIND "${out}" "zero_stride.hpf:2: error: [HF001]" has_lint_line)
-check("zero stride: lint reports line 2" has_lint_line GREATER -1)
+string(FIND "${out}" "zero_stride.hpf:2:1: error: [HF001]" has_lint_line)
+check("zero stride: lint reports line 2, column 1" has_lint_line GREATER -1)
 string(FIND "${err}" "failed: mapping error at 2:1: subscript triplet stride must be nonzero" has_exec_line)
 check("zero stride: execution error reports line 2" has_exec_line GREATER -1)
 
+# Lint applies the executor's assignment gate: a target section outside
+# its array is the same located HF001 the execution error reports.
+file(WRITE "${WORK_DIR}/oob_target.hpf"
+  "REAL A(10)\n!HPF$ DISTRIBUTE A(BLOCK)\nA(1:11) = 1\n")
+run_hpflint(1 "${WORK_DIR}/oob_target.hpf")
+string(FIND "${out}" "oob_target.hpf:3:1: error: [HF001] section 1:11 leaves dimension 1" has_oob)
+check("out-of-bounds target: lint reports HF001 at 3:1" has_oob GREATER -1)
+
+# A BLOCK extent near the Extent maximum: the block size is a ceiling
+# division that must not wrap. Lint and --cost accept the statement and
+# price it; --exec cannot allocate the storage and exits 2 with one line.
+file(WRITE "${WORK_DIR}/block_max.hpf"
+  "REAL A(1:9223372036854775807)\n!HPF$ DISTRIBUTE A(BLOCK)\nA(1:10) = A(2:11)\n")
+run_hpflint(0 "${WORK_DIR}/block_max.hpf")
+run_hpflint(0 --cost "${WORK_DIR}/block_max.hpf")
+string(FIND "${out}" "totals: 0 msgs, 0 bytes, 10 local reads" has_priced)
+check("block_max --cost prices 10 local reads and no message"
+      has_priced GREATER -1)
+run_hpflint(2 --exec "${WORK_DIR}/block_max.hpf")
+string(REGEX MATCHALL "\n" err_lines "${err}")
+list(LENGTH err_lines n_err_lines)
+string(FIND "${err}" "hpflint: unexpected failure:" has_failure_msg)
+check("block_max --exec exits 2 with one line"
+      has_failure_msg EQUAL 0 AND n_err_lines EQUAL 1)
+
 # Sizes an Extent cannot hold are refused where the array is declared, in
 # every mode: a triplet whose span wraps int64 (before the check, --exec
-# segfaulted on it) and a domain whose element count does.
+# segfaulted on it) and a domain whose element count does. The error is
+# located at 1:1, and the later statements naming the undeclared array add
+# no cascade of "unknown array" errors.
 file(WRITE "${WORK_DIR}/wide_triplet.hpf"
   "REAL A(-9223372036854775807:9223372036854775807)\n!HPF$ DISTRIBUTE A(BLOCK)\nA(1:10) = A(2:11)\n")
 file(WRITE "${WORK_DIR}/wide_domain.hpf"
@@ -105,10 +139,12 @@ set(wide_domain_msg "index domain (1:4000000000, 1:4000000000) has more elements
 foreach(case IN ITEMS wide_triplet wide_domain)
   foreach(mode IN ITEMS "" --cost --exec)
     run_hpflint(1 ${mode} "${WORK_DIR}/${case}.hpf")
-    string(FIND "${out}" "${case}.hpf:1" has_line)
+    string(FIND "${out}" "${case}.hpf:1:1: error" has_line)
     string(FIND "${out}" "${${case}_msg}" has_msg)
-    check("${case} ${mode}: located error at line 1"
+    check("${case} ${mode}: located error at line 1, column 1"
           has_line GREATER -1 AND has_msg GREATER -1)
+    string(FIND "${out}" "\n1 error(s), 0 warning(s)" one_error)
+    check("${case} ${mode}: exactly one error" one_error GREATER -1)
   endforeach()
   string(FIND "${err}" "error at 1:1: ${${case}_msg}" has_exec_line)
   check("${case}: execution error reports line 1" has_exec_line GREATER -1)

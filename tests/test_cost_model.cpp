@@ -291,6 +291,98 @@ TEST(CostModelDiagnostics, ParseFailureYieldsHF000) {
   EXPECT_TRUE(report.statements.empty());
 }
 
+// The HF/HL errors of a report: what the shared static walk decides.
+std::vector<analysis::Diagnostic> bind_errors(
+    const std::vector<analysis::Diagnostic>& diagnostics) {
+  std::vector<analysis::Diagnostic> out;
+  for (const analysis::Diagnostic& d : diagnostics) {
+    if (d.severity == analysis::Severity::kError &&
+        (d.code.rfind("HF", 0) == 0 || d.code.rfind("HL", 0) == 0)) {
+      out.push_back(d);
+    }
+  }
+  return out;
+}
+
+// Lint and hpfcost bind through one walk and one assignment gate, so a bad
+// script gets the same errors from both — code, line, column and message —
+// and execution fails at the line of the first.
+TEST(CostModelDiagnostics, BindErrorsMatchTheLinter) {
+  struct Case {
+    const char* name;
+    const char* source;
+  };
+  const Case cases[] = {
+      {"nonconforming rhs",
+       "REAL A(10)\nREAL B(10)\n!HPF$ DISTRIBUTE A(BLOCK)\n"
+       "!HPF$ DISTRIBUTE B(BLOCK)\nA(1:10) = B(1:5)\n"},
+      {"out-of-bounds lhs",
+       "REAL A(10)\n!HPF$ DISTRIBUTE A(BLOCK)\nA(1:11) = 1\n"},
+      {"out-of-bounds rhs",
+       "REAL A(10)\nREAL B(10)\n!HPF$ DISTRIBUTE A(BLOCK)\n"
+       "A(1:10) = B(0:9)\n"},
+      {"zero stride", "REAL A(10)\nA(10:1:-1) = A(1:10:0)\n"},
+      {"unknown array",
+       "REAL A(8)\n!HPF$ DISTRIBUTE A(BLOCK)\nA(1:8) = B(1:8)\n"},
+      {"bad distribute", "REAL A(8,8)\n!HPF$ DISTRIBUTE A(BLOCK)\n"},
+      {"wide triplet",
+       "REAL A(-9223372036854775807:9223372036854775807)\n"
+       "!HPF$ DISTRIBUTE A(BLOCK)\nA(1:10) = A(2:11)\n"},
+      {"parse error", "REAL A(10)\n!HPF$ DISTRIBUTE ((\n"},
+  };
+  for (const Case& c : cases) {
+    ProcessorSpace ps(32);
+    const std::vector<analysis::Diagnostic> lint =
+        bind_errors(analysis::analyze_script(ps, c.source).diagnostics);
+    Machine machine(32);
+    const std::vector<analysis::Diagnostic> cost =
+        bind_errors(analysis::cost_script(machine, c.source).diagnostics);
+    ASSERT_FALSE(lint.empty()) << c.name;
+    ASSERT_EQ(lint.size(), cost.size()) << c.name;
+    for (std::size_t i = 0; i < lint.size(); ++i) {
+      EXPECT_EQ(lint[i].code, cost[i].code) << c.name;
+      EXPECT_EQ(lint[i].line, cost[i].line) << c.name;
+      EXPECT_EQ(lint[i].column, cost[i].column) << c.name;
+      EXPECT_EQ(lint[i].message, cost[i].message) << c.name;
+      EXPECT_GT(lint[i].column, 0) << c.name << ": " << lint[i].message;
+    }
+
+    ExecSession session;
+    try {
+      session.in.run(c.source);
+      ADD_FAILURE() << c.name << ": executed without an error";
+    } catch (const DirectiveError& e) {
+      EXPECT_EQ(e.line(), lint.front().line) << c.name;
+    } catch (const LocatedError& e) {
+      EXPECT_EQ(e.line(), lint.front().line) << c.name;
+    }
+  }
+}
+
+// The assignment gate names both shapes, in every mode.
+TEST(CostModelDiagnostics, NonconformingRhsNamesBothShapes) {
+  const char* source =
+      "REAL A(10)\nREAL B(10)\n!HPF$ DISTRIBUTE A(BLOCK)\n"
+      "!HPF$ DISTRIBUTE B(BLOCK)\nA(1:10) = B(1:5)\n";
+  const std::string text =
+      "right-hand side of shape (5) does not conform with target section "
+      "A(1:10) of shape (10)";
+  Machine machine(32);
+  const std::vector<analysis::Diagnostic> cost =
+      bind_errors(analysis::cost_script(machine, source).diagnostics);
+  ASSERT_EQ(cost.size(), 1u);
+  EXPECT_EQ(cost[0].code, "HF002");
+  EXPECT_EQ(cost[0].message, text);
+  ExecSession session;
+  try {
+    session.in.run(source);
+    ADD_FAILURE() << "executed without an error";
+  } catch (const ConformanceError& e) {
+    EXPECT_EQ(e.message(), text);
+    EXPECT_EQ(e.line(), 5);
+  }
+}
+
 // --- the --fix pipeline ---------------------------------------------------
 
 TEST(CostModelFixit, UndershadowFixPostsTheSyncTransfers) {

@@ -340,7 +340,6 @@ int run(int argc, char** argv) {
     return 2;
   }
 
-  hpfnt::ProcessorSpace space(static_cast<hpfnt::Extent>(opts.procs));
   hpfnt::Machine machine(static_cast<hpfnt::Extent>(opts.procs));
   int total_errors = 0;
   int total_warnings = 0;
@@ -400,6 +399,9 @@ int run(int argc, char** argv) {
         if (d.severity == Severity::kWarning) ++total_warnings;
       }
     } else {
+      // A fresh processor space per script, as --cost, --exec and --fix
+      // use: arrangements one script declares are not another's.
+      hpfnt::ProcessorSpace space(static_cast<hpfnt::Extent>(opts.procs));
       const AnalysisResult result =
           hpfnt::analysis::analyze_script(space, source);
       diagnostics = result.diagnostics;
