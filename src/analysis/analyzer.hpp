@@ -10,8 +10,9 @@
 // classification of every operand, HS shadow checks and HD checks.
 //
 // The analyzer and the executor share one classification function,
-// exec/overlap.hpp::classify_operand_comm — the same predicate that sets
-// the PlanTransfer::posted phase bits at plan-record time — so the static
+// exec/overlap.hpp::classify_operand_comm — the same predicate that picks
+// the phase of every charge, and so the PairFlow::posted bits of a sealed
+// plan's flows — so the static
 // report and the recorded plan's split-phase partition cannot diverge
 // (tests/test_analysis.cpp checks the equality differentially, leaf for
 // leaf, against executed scripts).

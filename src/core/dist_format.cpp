@@ -127,9 +127,18 @@ DimMapping DimMapping::bind(const DistFormat& format, Extent n, Extent np) {
       m.vb_f_ = n / np;
       m.vb_r_ = n % np;
       break;
-    case FormatKind::kCyclic:
+    case FormatKind::kCyclic: {
       m.q_ = format.cyclic_k();
+      // The block cycle k*NP divides every global/local index conversion
+      // below; a wrapped (possibly zero) cycle would trap there.
+      Extent cycle = 0;
+      if (__builtin_mul_overflow(m.q_, np, &cycle)) {
+        throw ConformanceError(cat("CYCLIC(", m.q_, ") over ", np,
+                                   " processors: the block cycle k*NP "
+                                   "overflows the index range"));
+      }
       break;
+    }
     case FormatKind::kCollapsed:
       if (np != 1) {
         throw InternalError("collapsed dimensions bind with np == 1");

@@ -5,12 +5,15 @@
 // statically analyzable (§9's SUPERB/Vienna Fortran message vectorization):
 // the priced schedule of a step is a pure function of the participating
 // mappings, sections, and per-element costs — not of the data. A CommPlan
-// captures one step's schedule exactly as the exec layer priced it from the
-// run tables: the block transfers {src, dst, elem_bytes, count}, the
-// per-processor compute charges, and the local-read tally, plus the sealed
-// StepStats end_step derived from them. CommEngine::replay(plan) re-issues
-// the step from the sealed statistics alone — byte-identical StepStats and
-// cumulative counters, zero ownership queries, no common-segment walk.
+// captures one step's schedule at the granularity the machine prices it:
+// the per-(src, dst) flows of each phase, one compute row per processor,
+// the local-read tally, a per-processor memory summary for remaps, and the
+// sealed StepStats end_step derived from them. The exec layer may charge a
+// step one constant-owner segment at a time, but the plan keeps only what
+// the StepPricer accumulated — at most P(P-1) flows per phase, whatever
+// the segment count. CommEngine::replay(plan) re-issues the step from the
+// sealed statistics alone — byte-identical StepStats and cumulative
+// counters, zero ownership queries, no common-segment walk.
 //
 // Plans are keyed on the participating distributions' *content* signatures
 // (Distribution::append_plan_signature), the section triplets, and the
@@ -65,14 +68,29 @@
 #include "core/array.hpp"
 #include "core/distribution.hpp"
 #include "machine/comm.hpp"
+#include "machine/memory.hpp"
+#include "machine/step_pricer.hpp"
 
 namespace hpfnt {
 
-/// One recorded block transfer: `count` elements of `elem_bytes` from the
-/// canonical sending replica to one receiving owner.
+/// One per-processor compute charge of a sealed plan: the processor's
+/// summed flops over the step.
+struct PlanCompute {
+  ApId p = 0;
+  Extent flops = 0;
+};
+
+/// One step's priced schedule at the granularity the machine prices it:
+/// per (src, dst) pair, per processor. Built by pricing a step cold with
+/// CommEngine::record_into armed and sealed by end_step from the engine's
+/// StepPricer tables, so recording costs O(pairs + P), whatever the number
+/// of constant-owner segments the walk charged. Re-issued by
+/// CommEngine::replay. The rows re-price to exactly the sealed stats
+/// (end_step's statistics are a pure function of them), which the
+/// CommPlan tests assert.
 ///
-/// `posted` partitions the plan's transfer list into its boundary and
-/// interior sets at record time. The partition rule (exec/overlap.hpp,
+/// `flows` partitions the step's traffic into its boundary and interior
+/// sets (PairFlow::posted). The partition rule (exec/overlap.hpp,
 /// leaf_is_shadow_covered): a transfer is posted — boundary — iff it was
 /// charged for an operand that is a pure per-dimension shift of the
 /// target section on a structurally identical mapping, with every shifted
@@ -82,52 +100,28 @@ namespace hpfnt {
 /// halo reads landing in ghost cells, so they overlap the interior compute
 /// (CommEngine posted phase). Everything else — unshifted remote reads,
 /// replica broadcasts, remap copies — stays in the sync set.
-struct PlanTransfer {
-  ApId src = 0;
-  ApId dst = 0;
-  Extent elem_bytes = 0;
-  Extent count = 0;
-  bool posted = false;  ///< boundary (overlapped) vs interior/sync transfer
-
-  friend bool operator==(const PlanTransfer& a, const PlanTransfer& b) {
-    return a.src == b.src && a.dst == b.dst &&
-           a.elem_bytes == b.elem_bytes && a.count == b.count &&
-           a.posted == b.posted;
-  }
-};
-
-/// One recorded per-processor compute charge.
-struct PlanCompute {
-  ApId p = 0;
-  Extent flops = 0;
-};
-
-/// One per-processor memory-accounting delta (remap plans only: replicas
-/// appearing on new owners / disappearing from old ones). Deltas are
-/// recorded and replayed in charge order — peak-memory gauges depend on
-/// the interleaving, not just the totals.
-struct PlanMemOp {
-  ApId p = 0;
-  Extent delta = 0;  ///< bytes; positive allocates, negative releases
-};
-
-/// One step's priced schedule. Built by pricing a step cold with
-/// CommEngine::record_into armed; sealed by end_step; re-issued by
-/// CommEngine::replay. The recorded operations re-price to exactly the
-/// sealed stats (end_step's statistics are a pure function of them), which
-/// the CommPlan tests assert.
 struct CommPlan {
-  std::string label;                    ///< step label at record time
-  std::vector<PlanTransfer> transfers;  ///< remote segments, in charge order
-  std::vector<PlanCompute> computes;
-  Extent local_reads = 0;        ///< reads satisfied without a message
-  std::vector<PlanMemOp> mem_ops;  ///< remap only, in charge order
-  /// Sorted-unique processors the schedule touches (transfer endpoints,
-  /// compute and memory charges), filled at seal. PlanTable::lookup
+  std::string label;  ///< step label at record time
+  /// StepPricer::traffic() at seal: sync rows then posted rows, each
+  /// sorted by (src, dst) — the order FaultModel::roll consumes, so a
+  /// faulted replay rolls the same draws as the cold step.
+  std::vector<PairFlow> flows;
+  std::vector<PlanCompute> computes;  ///< one per processor, ascending
+  Extent local_reads = 0;             ///< reads satisfied without a message
+  /// Remap plans only: the replica memory deltas (replicas appearing on
+  /// new owners, disappearing from old ones) as their MemoryDeltaFold —
+  /// per processor, ascending, an allocate of the largest prefix rise and
+  /// then the release down to the net change, so at most 2 rows per
+  /// processor. Each gauge is per processor and the fold keeps each
+  /// processor's net and peak, so replaying the rows reproduces every
+  /// bytes_on and peak_on of the charge-order stream.
+  std::vector<MemoryDelta> mem_ops;
+  /// Sorted-unique processors the schedule touches (flow endpoints,
+  /// compute and memory rows), filled at seal. PlanTable::lookup
   /// intersects this with the machine's failed set: a plan that references
   /// a dead processor must never replay.
   std::vector<ApId> referenced_procs;
-  StepStats stats;                 ///< sealed by CommEngine::end_step
+  StepStats stats;  ///< sealed by CommEngine::end_step
   bool sealed = false;
 
   /// Whether the sealed schedule touches any processor in `failed`

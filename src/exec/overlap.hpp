@@ -105,8 +105,9 @@ enum class CommClass {
 
 /// The record-time partition rule of exec/assign.cpp, exposed as a pure
 /// predicate so the static analyzer (src/analysis/) and the executor can
-/// never disagree — the executor's PlanTransfer::posted phase bits are set
-/// from exactly this classification (differential tests pin the equality):
+/// never disagree — the phase bits of a sealed plan's flows
+/// (PairFlow::posted) come from exactly this classification (differential
+/// tests pin the equality):
 ///   * kLocal  — the operand section is the unshifted translate of the LHS
 ///     section on a structurally identical mapping: the computing owner of
 ///     every element owns the operand element too;

@@ -180,8 +180,9 @@ inline std::string remap_step_label(const RemapEvent& event,
 /// every new owner lacking the value receives it from the canonical
 /// (minimum) old owner. `on_replica_delta(p, delta)` reports the replica
 /// appearances (+bytes) and disappearances (-bytes) in charge order — the
-/// executor folds them into memory accounting and the recorded plan's
-/// mem_ops; the cost model passes a no-op (StepStats carries no memory).
+/// executor folds them per processor (MemoryDeltaFold) into memory
+/// accounting and the recorded plan's mem_ops; the cost model passes a
+/// no-op (StepStats carries no memory).
 template <class Engine, class ReplicaFn>
 void charge_remap_step(const Distribution& from, const Distribution& to,
                        Extent elem_bytes, Engine& engine,

@@ -327,18 +327,9 @@ StepStats ProgramState::apply_remap(const RemapEvent& event,
       // Ghost cells follow the layout: release under the old distribution
       // before the move, re-materialize under the new one after. This
       // happens outside the plan in both the warm and cold paths, so the
-      // recorded mem_ops stay layout-only and the interleaving (and thus
-      // the peak gauges) is identical either way.
+      // recorded mem_ops stay layout-only.
       account_shadow(s, /*allocate=*/false);
-      // Replay the memory deltas in recorded order: peak gauges depend on
-      // the allocate/release interleaving, not just the totals.
-      for (const PlanMemOp& op : plan->mem_ops) {
-        if (op.delta >= 0) {
-          memory_.allocate(op.p, op.delta);
-        } else {
-          memory_.release(op.p, -op.delta);
-        }
-      }
+      memory_.apply(plan->mem_ops);
       s.dist = event.to;
       account_shadow(s, /*allocate=*/true);
       return step;
@@ -347,12 +338,14 @@ StepStats ProgramState::apply_remap(const RemapEvent& event,
 
   // Cold path: stage, then commit. The run-table walk and the step pricing
   // can throw (conformance checks, fault exhaustion at end_step), so the
-  // memory deltas are only collected during the walk and applied — in
-  // recorded charge order, after the shadow release, exactly the warm
-  // path's sequence — once the step has sealed. An unwind through the
-  // guard aborts the half-charged step and leaves layout, memory gauges,
-  // and engine totals exactly as before the call.
-  std::vector<PlanMemOp> staged_ops;
+  // replica deltas are only folded during the walk (MemoryDeltaFold: per
+  // processor, the net change and the largest prefix rise — all a
+  // per-processor gauge can observe) and applied once the step has
+  // sealed, after the shadow release: the warm path's sequence, from the
+  // same folded rows the plan keeps. An unwind through the guard aborts
+  // the half-charged step and leaves layout, memory gauges, and engine
+  // totals exactly as before the call.
+  MemoryDeltaFold fold;
   comm_.begin_step(label);
   StepGuard guard(comm_);
   auto rec = std::make_shared<CommPlan>();
@@ -362,23 +355,16 @@ StepStats ProgramState::apply_remap(const RemapEvent& event,
   // priced once per segment with the element count. The walk itself is the
   // shared charge_remap_step (exec/pricing.hpp); only the memory
   // accounting — replicas appearing on new owners, disappearing from old —
-  // is the executor's to fold in, in charge order.
+  // is the executor's to fold in.
   charge_remap_step(event.from, event.to, s.elem_bytes, comm_,
-                    [&](ApId p, Extent delta) {
-                      staged_ops.push_back({p, delta});
-                      if (cacheable) rec->mem_ops.push_back({p, delta});
-                    });
+                    [&](ApId p, Extent delta) { fold.add(p, delta); });
+  std::vector<MemoryDelta> mem_ops = fold.ops();
+  if (cacheable) rec->mem_ops = mem_ops;
   StepStats step = comm_.end_step();
   guard.dismiss();
 
   account_shadow(s, /*allocate=*/false);
-  for (const PlanMemOp& op : staged_ops) {
-    if (op.delta >= 0) {
-      memory_.allocate(op.p, op.delta);
-    } else {
-      memory_.release(op.p, -op.delta);
-    }
-  }
+  memory_.apply(mem_ops);
   s.dist = event.to;
   account_shadow(s, /*allocate=*/true);
   if (cacheable) publish_plan(key, std::move(rec));

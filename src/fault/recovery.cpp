@@ -98,7 +98,7 @@ StepStats migrate_event(ProgramState& state, const DistArray& array,
     bool from_ckpt = false;
   };
   std::vector<Patch> patches;
-  std::vector<PlanMemOp> deltas;
+  MemoryDeltaFold deltas;
 
   comm.begin_step(event.reason.empty() ? ("RECOVER " + array.name())
                                        : event.reason);
@@ -134,27 +134,22 @@ StepStats migrate_event(ProgramState& state, const DistArray& array,
         }
         for (ApId q : new_owners) {
           if (!owner_set_contains(old_owners, q)) {
-            deltas.push_back({q, eb * count});
+            deltas.add(q, eb * count);
           }
         }
         for (ApId o : old_owners) {
           if (!owner_set_contains(new_owners, o)) {
-            deltas.push_back({o, -(eb * count)});
+            deltas.add(o, -(eb * count));
           }
         }
       });
   StepStats step = comm.end_step();
   guard.dismiss();
 
-  // Commit: replica memory deltas in charge order, then the layout (with
-  // its ghost-cell re-accounting), then the value patches.
-  for (const PlanMemOp& op : deltas) {
-    if (op.delta >= 0) {
-      state.memory().allocate(op.p, op.delta);
-    } else {
-      state.memory().release(op.p, -op.delta);
-    }
-  }
+  // Commit: the folded replica memory deltas (the same per-processor rows
+  // apply_remap commits), then the layout (with its ghost-cell
+  // re-accounting), then the value patches.
+  state.memory().apply(deltas.ops());
   state.rebind_layout(array.id(), event.to);
   for (const Patch& pt : patches) {
     if (pt.from_ckpt) {

@@ -1,11 +1,10 @@
 #include "machine/comm.hpp"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
-// The plan struct lives with its cache in the exec layer; the engine only
-// appends operations to it while recording and reads its sealed statistics
+// The plan struct lives with its cache in the exec layer; the engine fills
+// it from its StepPricer at seal and reads its sealed statistics and flows
 // on replay.
 #include "exec/comm_plan.hpp"
 #include "support/error.hpp"
@@ -33,41 +32,29 @@ std::string StepStats::to_string() const {
 
 namespace {
 
-// A sealed plan's per-pair flows, aggregated back into the canonical
-// StepPricer::traffic() order (sync flows then posted flows, each sorted by
-// (src, dst)) so a replay's fault rolls consume the RNG stream exactly as
-// the cold pricing of the same step would.
-std::vector<PairFlow> aggregate_plan_flows(const CommPlan& plan) {
-  std::map<std::pair<ApId, ApId>, std::pair<Extent, Extent>> sync, posted;
-  for (const PlanTransfer& t : plan.transfers) {
-    auto& acc = (t.posted ? posted : sync)[{t.src, t.dst}];
-    acc.first += t.elem_bytes * t.count;
-    acc.second += t.count;
-  }
-  std::vector<PairFlow> flows;
-  flows.reserve(sync.size() + posted.size());
-  for (const auto& [pair, acc] : sync) {
-    flows.push_back({pair.first, pair.second, acc.first, acc.second, false});
-  }
-  for (const auto& [pair, acc] : posted) {
-    flows.push_back({pair.first, pair.second, acc.first, acc.second, true});
-  }
-  return flows;
-}
-
-// The sorted-unique processor footprint of a recorded schedule — the set
-// the plan caches (PlanTable::lookup) intersect with the machine's failed set.
+// The sorted-unique processor footprint of a sealed plan — the set the
+// plan caches (PlanTable::lookup) intersect with the machine's failed set.
+// One pass over the per-pair and per-processor rows, no sort.
 std::vector<ApId> plan_footprint(const CommPlan& plan) {
-  std::vector<ApId> procs;
-  procs.reserve(plan.transfers.size() * 2 + plan.computes.size());
-  for (const PlanTransfer& t : plan.transfers) {
-    procs.push_back(t.src);
-    procs.push_back(t.dst);
+  ApId top = -1;
+  for (const PairFlow& f : plan.flows) top = std::max({top, f.src, f.dst});
+  for (const PlanCompute& c : plan.computes) top = std::max(top, c.p);
+  for (const MemoryDelta& m : plan.mem_ops) top = std::max(top, m.p);
+  std::vector<char> seen(static_cast<std::size_t>(top + 1), 0);
+  for (const PairFlow& f : plan.flows) {
+    seen[static_cast<std::size_t>(f.src)] = 1;
+    seen[static_cast<std::size_t>(f.dst)] = 1;
   }
-  for (const PlanCompute& c : plan.computes) procs.push_back(c.p);
-  for (const PlanMemOp& m : plan.mem_ops) procs.push_back(m.p);
-  std::sort(procs.begin(), procs.end());
-  procs.erase(std::unique(procs.begin(), procs.end()), procs.end());
+  for (const PlanCompute& c : plan.computes) {
+    seen[static_cast<std::size_t>(c.p)] = 1;
+  }
+  for (const MemoryDelta& m : plan.mem_ops) {
+    seen[static_cast<std::size_t>(m.p)] = 1;
+  }
+  std::vector<ApId> procs;
+  for (std::size_t p = 0; p < seen.size(); ++p) {
+    if (seen[p]) procs.push_back(static_cast<ApId>(p));
+  }
   return procs;
 }
 
@@ -111,7 +98,7 @@ void CommEngine::record_into(std::shared_ptr<CommPlan> plan) {
   recording_ = std::move(plan);
   if (recording_) {
     recording_->label = label_;
-    recording_->transfers.clear();
+    recording_->flows.clear();
     recording_->computes.clear();
     recording_->mem_ops.clear();
     recording_->referenced_procs.clear();
@@ -121,43 +108,25 @@ void CommEngine::record_into(std::shared_ptr<CommPlan> plan) {
 }
 
 void CommEngine::transfer(ApId src, ApId dst, Extent bytes) {
-  if (!in_step_) throw InternalError("transfer outside a step");
-  if (src == dst) {
-    ++local_reads_;
-    if (recording_) recording_->local_reads += 1;
-    return;
-  }
-  pricer_.transfer_block(src, dst, bytes, 1, posted_phase_);
-  if (recording_) {
-    recording_->transfers.push_back({src, dst, bytes, 1, posted_phase_});
-  }
+  transfer_block(src, dst, bytes, 1);
 }
 
 void CommEngine::transfer_block(ApId src, ApId dst, Extent elem_bytes,
                                 Extent count) {
   if (!in_step_) throw InternalError("transfer outside a step");
   if (count <= 0) return;
-  if (src == dst) {
-    local_reads_ += count;
-    if (recording_) recording_->local_reads += count;
-    return;
-  }
+  if (src == dst) local_reads_ += count;
   pricer_.transfer_block(src, dst, elem_bytes, count, posted_phase_);
-  if (recording_) {
-    recording_->transfers.push_back(
-        {src, dst, elem_bytes, count, posted_phase_});
-  }
 }
 
 void CommEngine::compute(ApId p, Extent flops) {
   if (!in_step_) throw InternalError("compute outside a step");
   pricer_.compute(p, flops);
-  if (recording_) recording_->computes.push_back({p, flops});
 }
 
 void CommEngine::count_local_reads(Extent n) {
   local_reads_ += n;
-  if (recording_) recording_->local_reads += n;
+  pricer_.count_local_reads(n);
 }
 
 StepStats CommEngine::end_step() {
@@ -178,16 +147,26 @@ StepStats CommEngine::end_step() {
   // also means a retry-budget exhaustion below leaves the engine fully
   // closed (step done, recording disarmed), so the caller can catch and
   // re-issue.
-  if (recording_) {
-    recording_->stats = stats;
-    recording_->referenced_procs = plan_footprint(*recording_);
-    recording_->sealed = true;
-    recording_.reset();
+  const std::shared_ptr<CommPlan> sealed = std::move(recording_);
+  if (sealed) {
+    CommPlan& plan = *sealed;
+    plan.flows = pricer_.traffic();
+    const std::vector<ApStepTable::Cell> rows = pricer_.compute_rows();
+    plan.computes.reserve(rows.size());
+    for (const ApStepTable::Cell& cell : rows) {
+      plan.computes.push_back({cell.key, cell.payload});
+    }
+    plan.local_reads = pricer_.local_reads();
+    plan.stats = stats;
+    plan.referenced_procs = plan_footprint(plan);
+    plan.sealed = true;
   }
 
   if (faults_.enabled()) {
     const FaultCharge charge =
-        faults_.roll(pricer_.traffic(), machine_->cost(), stats.label);
+        sealed ? faults_.roll(sealed->flows, machine_->cost(), stats.label)
+               : faults_.roll(pricer_.traffic(), machine_->cost(),
+                              stats.label);
     stats.retries = charge.retries;
     stats.retry_us = charge.retry_us;
     stats.time_us += charge.retry_us;
@@ -223,15 +202,15 @@ StepStats CommEngine::replay(const CommPlan& plan, const std::string& label) {
   StepStats stats = plan.stats;
   if (!label.empty()) stats.label = label;
 
-  // Replay re-rolls faults over the plan's aggregated flows — in the
-  // canonical traffic order, so a replayed step consumes the same RNG draws
-  // a cold pricing of the same schedule would. The roll happens before ANY
-  // counter moves: an exhausted retry budget throws with the engine totals
-  // untouched. A sealed plan always carries fault-free stats (retries==0),
-  // so the charge below never double-counts.
+  // Replay re-rolls faults over the plan's sealed flows — the canonical
+  // StepPricer::traffic() order, so a replayed step consumes the same RNG
+  // draws a cold pricing of the same schedule would. The roll happens before
+  // ANY counter moves: an exhausted retry budget throws with the engine
+  // totals untouched. A sealed plan always carries fault-free stats
+  // (retries==0), so the charge below never double-counts.
   if (faults_.enabled()) {
-    const FaultCharge charge = faults_.roll(aggregate_plan_flows(plan),
-                                            machine_->cost(), stats.label);
+    const FaultCharge charge =
+        faults_.roll(plan.flows, machine_->cost(), stats.label);
     stats.retries = charge.retries;
     stats.retry_us = charge.retry_us;
     stats.time_us += charge.retry_us;

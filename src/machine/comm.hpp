@@ -71,7 +71,7 @@
 namespace hpfnt {
 
 // A recorded, priced step schedule (defined with its cache in
-// exec/comm_plan.hpp; the engine only appends to and reads its fields).
+// exec/comm_plan.hpp; the engine fills it at seal and reads it on replay).
 struct CommPlan;
 
 struct StepStats {
@@ -124,12 +124,13 @@ class CommEngine {
   /// Closes the step, computes its statistics, accumulates totals.
   StepStats end_step();
 
-  /// Arms recording of the open step into `plan`: every transfer, compute
-  /// charge, and local-read tally until end_step is appended (posted-phase
-  /// transfers are tagged PlanTransfer::posted), and end_step seals the
-  /// plan with the step's statistics. The engine shares ownership of the
-  /// plan, so it stays valid even if the recorded step unwinds before
-  /// end_step. Recording disarms only at end_step; a begin_step while a
+  /// Arms recording of the open step into `plan`: end_step seals the plan
+  /// with the step's per-pair flows (posted-phase traffic tagged
+  /// PairFlow::posted), per-processor compute rows, local-read tally and
+  /// statistics, all read from the step's StepPricer — so recording adds
+  /// nothing per charge. Arm it right after begin_step: the plan holds the
+  /// whole step. The engine shares ownership of the plan, so it stays valid
+  /// even if the recorded step unwinds before end_step. Recording disarms only at end_step; a begin_step while a
   /// recording is still armed throws InternalError rather than silently
   /// dropping the partial schedule.
   void record_into(std::shared_ptr<CommPlan> plan);

@@ -39,8 +39,8 @@ namespace hpfnt {
 struct StepStats;
 
 /// One (src, dst) flow of a step, per phase — a row of the per-processor-
-/// pair traffic matrix the cost model reports (and the aggregation of a
-/// recorded plan's PlanTransfers, which the tests compare it against).
+/// pair traffic matrix the cost model reports and a sealed CommPlan keeps
+/// (CommPlan::flows), which the tests compare it against.
 struct PairFlow {
   ApId src = 0;
   ApId dst = 0;
@@ -114,10 +114,11 @@ class StepPricer {
     local_reads_ = 0;
   }
 
-  // The raw phase tables (CommEngine's recording path appends the charge
-  // stream itself; these are only read at pricing time).
-  const PairStepTable& sync_pairs() const noexcept { return sync_; }
-  const PairStepTable& posted_pairs() const noexcept { return posted_; }
+  /// Per-processor summed flops, sorted by processor — the compute rows
+  /// a sealed CommPlan keeps.
+  std::vector<ApStepTable::Cell> compute_rows() const {
+    return flops_.sorted();
+  }
 
  private:
   const CostParams* cost_;

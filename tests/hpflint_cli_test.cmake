@@ -150,6 +150,20 @@ foreach(case IN ITEMS wide_triplet wide_domain)
   check("${case}: execution error reports line 1" has_exec_line GREATER -1)
 endforeach()
 
+# A CYCLIC(k) block cycle k*NP that wraps int64 is refused where the
+# mapping is bound, in every mode. (Before the check it wrapped to 0 and
+# --cost/--exec died dividing by it, SIGFPE, exit 136.)
+file(WRITE "${WORK_DIR}/cyclic_wrap.hpf"
+  "REAL A(64)\n!HPF$ DISTRIBUTE A(CYCLIC(4611686018427387904))\nA(1:10) = A(2:11)\n")
+set(cyclic_wrap_msg "CYCLIC(4611686018427387904) over 32 processors: the block cycle k*NP overflows the index range")
+foreach(mode IN ITEMS "" --cost --exec)
+  run_hpflint(1 ${mode} "${WORK_DIR}/cyclic_wrap.hpf")
+  string(FIND "${out}" "cyclic_wrap.hpf:2:1: error: [HL003] ${cyclic_wrap_msg}" has_line)
+  check("cyclic_wrap ${mode}: located error at line 2" has_line GREATER -1)
+endforeach()
+string(FIND "${err}" "error at 2:1: ${cyclic_wrap_msg}" has_exec_line)
+check("cyclic_wrap: execution error reports line 2" has_exec_line GREATER -1)
+
 # --- --json line schema -----------------------------------------------------
 run_hpflint(0 --json "${SCRIPTS}/bad_undershadow.hpf")
 string(REGEX REPLACE "\n$" "" json_out "${out}")

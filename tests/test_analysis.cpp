@@ -494,8 +494,8 @@ TEST(AnalysisDifferential, UnderShadowJacobiFlagsAndFixitPostsExactly) {
     Extent posted_transfers = 0, sync_transfers = 0;
     session.state.plans().for_each(
         [&](const std::string&, const CommPlan& plan) {
-          for (const PlanTransfer& t : plan.transfers) {
-            (t.posted ? posted_transfers : sync_transfers) += 1;
+          for (const PairFlow& f : plan.flows) {
+            (f.posted ? posted_transfers : sync_transfers) += 1;
           }
         });
     EXPECT_GT(posted_transfers, 0);
@@ -532,8 +532,8 @@ TEST(AnalysisDifferential, UnderShadowJacobiFlagsAndFixitPostsExactly) {
     Extent posted_transfers = 0, sync_transfers = 0;
     session.state.plans().for_each(
         [&](const std::string&, const CommPlan& plan) {
-          for (const PlanTransfer& t : plan.transfers) {
-            (t.posted ? posted_transfers : sync_transfers) += 1;
+          for (const PairFlow& f : plan.flows) {
+            (f.posted ? posted_transfers : sync_transfers) += 1;
           }
         });
     EXPECT_GT(posted_transfers, 0);

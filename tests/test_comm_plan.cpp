@@ -18,6 +18,7 @@
 #include "exec/comm_plan.hpp"
 #include "exec/redistribute_exec.hpp"
 #include "exec/stencil.hpp"
+#include "fault/fault_model.hpp"
 #include "service/plan_service.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
@@ -38,13 +39,17 @@ void expect_step_eq(const StepStats& a, const StepStats& b) {
   EXPECT_EQ(a.element_transfers, b.element_transfers);
   EXPECT_EQ(a.flops, b.flops);
   EXPECT_EQ(a.time_us, b.time_us);  // exact: same op multiset, same fold
+  EXPECT_EQ(a.exposed_comm_us, b.exposed_comm_us);
+  EXPECT_EQ(a.hidden_comm_us, b.hidden_comm_us);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.retry_us, b.retry_us);
 }
 
-/// All transfers of every cached plan, in insertion order per plan.
-std::vector<PlanTransfer> cached_transfers(PlanCache& plans) {
-  std::vector<PlanTransfer> out;
+/// All flows of every cached plan, in sealed order per plan.
+std::vector<PairFlow> cached_flows(PlanCache& plans) {
+  std::vector<PairFlow> out;
   plans.for_each([&](const std::string&, const CommPlan& plan) {
-    out.insert(out.end(), plan.transfers.begin(), plan.transfers.end());
+    out.insert(out.end(), plan.flows.begin(), plan.flows.end());
   });
   return out;
 }
@@ -94,16 +99,16 @@ TEST_F(CommPlanTest, CopySectionSendsFromMinimumOwner) {
   ASSERT_EQ(state.layout(a.id()).owners(idx({1})), (OwnerSet{2, 0}));
 
   state.copy_section(b, dom.dims(), a, dom.dims(), "copy-in");
-  const std::vector<PlanTransfer> transfers = cached_transfers(state.plans());
-  ASSERT_FALSE(transfers.empty());
+  const std::vector<PairFlow> flows = cached_flows(state.plans());
+  ASSERT_FALSE(flows.empty());
   Extent total = 0;
-  for (const PlanTransfer& t : transfers) {
+  for (const PairFlow& t : flows) {
     // The sending replica is the canonical minimum owner (AP 0), the
     // convention of Distribution::first_owner and the assignment executor —
     // not owners.front() (AP 2).
     EXPECT_EQ(t.src, 0);
     EXPECT_EQ(t.dst, 1);
-    total += t.count;
+    total += t.elements;
   }
   EXPECT_EQ(total, 16);
 }
@@ -120,9 +125,9 @@ TEST_F(CommPlanTest, RemapSendsFromMinimumOwner) {
   event.from = from;
   event.to = to;
   state.apply_remap(event, a);
-  const std::vector<PlanTransfer> transfers = cached_transfers(state.plans());
-  ASSERT_FALSE(transfers.empty());
-  for (const PlanTransfer& t : transfers) {
+  const std::vector<PairFlow> flows = cached_flows(state.plans());
+  ASSERT_FALSE(flows.empty());
+  for (const PairFlow& t : flows) {
     EXPECT_EQ(t.src, 0);
     EXPECT_EQ(t.dst, 1);
   }
@@ -159,8 +164,7 @@ TEST_F(CommPlanTest, AssignAndCopySectionPriceIdenticalSchedules) {
                                                "move");
     expect_step_eq(step, r.step);
     EXPECT_EQ(copied.comm().local_reads() - local_before, r.local_reads);
-    EXPECT_EQ(cached_transfers(assigned.plans()),
-              cached_transfers(copied.plans()));
+    EXPECT_EQ(cached_flows(assigned.plans()), cached_flows(copied.plans()));
   }
 }
 
@@ -406,8 +410,14 @@ TEST_F(PlanReplayTest, ReissuingRecordedOpsReproducesSealedStats) {
     ASSERT_TRUE(plan.sealed);
     CommEngine fresh(machine_);
     fresh.begin_step(plan.label);
-    for (const PlanTransfer& t : plan.transfers) {
-      fresh.transfer_block(t.src, t.dst, t.elem_bytes, t.count);
+    for (const PairFlow& f : plan.flows) {
+      // Every element of this step is one REAL: a flow re-issues as one
+      // block of equal payloads.
+      ASSERT_GT(f.elements, 0);
+      ASSERT_EQ(f.bytes % f.elements, 0);
+      if (f.posted) fresh.begin_posted();
+      fresh.transfer_block(f.src, f.dst, f.bytes / f.elements, f.elements);
+      if (f.posted) fresh.end_posted();
     }
     for (const PlanCompute& c : plan.computes) fresh.compute(c.p, c.flops);
     fresh.count_local_reads(plan.local_reads);
@@ -769,10 +779,10 @@ TEST_F(PlanReplayTest, RemapFlipFlopReplaysScheduleAndMemory) {
 }
 
 TEST_F(PlanReplayTest, RemapReplayPreservesPeakMemory) {
-  // Memory deltas must replay in recorded order: batching every allocate
-  // before every release would inflate the peak gauges (read by the E6
-  // replication benchmarks) relative to cold pricing, even though the
-  // totals agree.
+  // Replayed memory rows must reproduce each processor's peak: batching
+  // every allocate before every release would inflate the peak gauges
+  // (read by the E6 replication benchmarks) relative to cold pricing,
+  // even though the totals agree.
   const IndexDomain dom{Dim(1, 8)};
   const std::vector<Extent> map = {1, 1, 2, 2, 1, 1, 1, 1};
   const Distribution from = Distribution::formats(
@@ -804,6 +814,188 @@ TEST_F(PlanReplayTest, RemapReplayPreservesPeakMemory) {
     EXPECT_EQ(warm.memory().bytes_on(p), cold.memory().bytes_on(p)) << p;
     EXPECT_EQ(warm.memory().peak_on(p), cold.memory().peak_on(p)) << p;
   }
+}
+
+// --- sealed plans hold per-pair traffic -------------------------------------
+
+/// A 16-processor session over 2^14 elements — the remap_cold workload's
+/// shape — with its five remap formats plus a replicated layout.
+class PairPlanTest : public ::testing::Test {
+ protected:
+  static constexpr Extent kN = Extent{1} << 14;
+  static constexpr Extent kP = 16;
+
+  PairPlanTest() : machine_(kP), ps_(kP) {
+    ps_.declare("Q", IndexDomain::of_extents({kP}));
+  }
+
+  Distribution layout(const DistFormat& f) const {
+    return Distribution::formats(dom_, {f}, ProcessorRef(ps_.find("Q")));
+  }
+
+  /// A BLOCK start, then CYCLIC(1), CYCLIC(8), GENERAL_BLOCK, INDIRECT,
+  /// BLOCK, replicated and back to BLOCK: every pair is one remap.
+  std::vector<Distribution> chain() const {
+    std::vector<Extent> sizes;
+    for (Extent p = 0; p + 1 < kP; ++p) sizes.push_back(64 * (p % 5) + 100);
+    Extent used = 0;
+    for (Extent v : sizes) used += v;
+    sizes.push_back(kN - used);
+    std::vector<Extent> owner(static_cast<std::size_t>(kN));
+    for (std::size_t i = 0; i < owner.size(); ++i) {
+      owner[i] = static_cast<Extent>((i * 7919) % kP) + 1;
+    }
+    return {layout(DistFormat::block()),
+            layout(DistFormat::cyclic(1)),
+            layout(DistFormat::cyclic(8)),
+            layout(DistFormat::general_block_sizes(sizes)),
+            layout(DistFormat::indirect(owner)),
+            layout(DistFormat::block()),
+            Distribution::replicated(dom_, ProcessorRef(ps_.find("Q"))),
+            layout(DistFormat::block())};
+  }
+
+  IndexDomain dom_{Dim(1, kN)};
+  Machine machine_;
+  ProcessorSpace ps_;
+};
+
+void expect_same_machine_state(ProgramState& x, ProgramState& y) {
+  const CommEngine& a = x.comm();
+  const CommEngine& b = y.comm();
+  EXPECT_EQ(a.total_messages(), b.total_messages());
+  EXPECT_EQ(a.total_bytes(), b.total_bytes());
+  EXPECT_EQ(a.total_transfers(), b.total_transfers());
+  EXPECT_EQ(a.total_time_us(), b.total_time_us());
+  EXPECT_EQ(a.total_exposed_comm_us(), b.total_exposed_comm_us());
+  EXPECT_EQ(a.total_hidden_comm_us(), b.total_hidden_comm_us());
+  EXPECT_EQ(a.total_retries(), b.total_retries());
+  EXPECT_EQ(a.total_retry_us(), b.total_retry_us());
+  EXPECT_EQ(a.local_reads(), b.local_reads());
+  for (ApId p = 0; p < x.machine().processors(); ++p) {
+    EXPECT_EQ(x.memory().bytes_on(p), y.memory().bytes_on(p))
+        << "proc " << p;
+    EXPECT_EQ(x.memory().peak_on(p), y.memory().peak_on(p))
+        << "proc " << p;
+  }
+}
+
+TEST_F(PairPlanTest, CyclicToBlockRemapSealsPerPairRows) {
+  // 2^14 CYCLIC(1) elements move in 2^14 one-element segments, but the
+  // plan keeps one row per (src, dst) pair and per processor.
+  DataEnv env(ps_);
+  DistArray& a = env.real("A", dom_);
+  ProgramState state(machine_);
+  RemapEvent ev;
+  ev.dummy = a.id();
+  ev.from = layout(DistFormat::cyclic(1));
+  ev.to = layout(DistFormat::block());
+  state.create_with(a, ev.from);
+  const StepStats step = state.apply_remap(ev, a);
+
+  ASSERT_EQ(state.plans().size(), 1u);
+  state.plans().for_each([&](const std::string&, const CommPlan& plan) {
+    ASSERT_TRUE(plan.sealed);
+    EXPECT_LE(plan.flows.size(), static_cast<std::size_t>(kP * (kP - 1)));
+    EXPECT_LE(plan.computes.size(), static_cast<std::size_t>(kP));
+    EXPECT_LE(plan.mem_ops.size(), static_cast<std::size_t>(2 * kP));
+    // One flow per message, and together they carry the whole step.
+    EXPECT_EQ(static_cast<Extent>(plan.flows.size()), step.messages);
+    Extent bytes = 0, elements = 0;
+    for (const PairFlow& f : plan.flows) {
+      EXPECT_NE(f.src, f.dst);
+      bytes += f.bytes;
+      elements += f.elements;
+    }
+    EXPECT_EQ(bytes, step.bytes);
+    EXPECT_EQ(elements, step.element_transfers);
+    // An element moves unless its CYCLIC(1) owner is its BLOCK owner too:
+    // kN / kP of them stay put (a remap charges no local read for them).
+    EXPECT_EQ(elements, kN - kN / kP);
+    std::vector<ApId> all(static_cast<std::size_t>(kP));
+    for (ApId p = 0; p < kP; ++p) all[static_cast<std::size_t>(p)] = p;
+    EXPECT_EQ(plan.referenced_procs, all);
+  });
+}
+
+TEST_F(PairPlanTest, ColdAndReplayedRemapsAgreeOnStatsTotalsAndPeaks) {
+  // The remap chain runs twice on a plan-caching session and a cold one,
+  // with B = A * 2 after every remap: the second pass replays every step
+  // on the caching side. Every StepStats, every cumulative counter and
+  // every processor's bytes and peak agree after every statement.
+  const std::vector<Distribution> layouts = chain();
+  DataEnv env(ps_);
+  DistArray& a = env.real("A", dom_);
+  DistArray& b = env.real("B", dom_);
+  ProgramState warm(machine_);
+  ProgramState cold(machine_);
+  cold.plans().set_enabled(false);
+  for (ProgramState* state : {&warm, &cold}) {
+    state->create_with(a, layouts.front());
+    state->create_with(b, layout(DistFormat::block()));
+    state->fill(a.id(), [](const IndexTuple& i) {
+      return static_cast<double>(i[0] % 97);
+    });
+  }
+  Extent first_pass_hits = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    if (pass == 1) first_pass_hits = warm.plans().hits();
+    for (std::size_t k = 0; k + 1 < layouts.size(); ++k) {
+      SCOPED_TRACE(cat("pass ", pass, " remap ", k));
+      RemapEvent ev;
+      ev.dummy = a.id();
+      ev.from = layouts[k];
+      ev.to = layouts[k + 1];
+      expect_step_eq(warm.apply_remap(ev, a), cold.apply_remap(ev, a));
+      expect_same_machine_state(warm, cold);
+      const AssignResult rw = assign_on_layout(
+          warm, b, dom_.dims(), SecExpr::whole(a) * 2.0, "B = A * 2");
+      const AssignResult rc = assign_on_layout(
+          cold, b, dom_.dims(), SecExpr::whole(a) * 2.0, "B = A * 2");
+      expect_step_eq(rw.step, rc.step);
+      expect_same_machine_state(warm, cold);
+    }
+  }
+  const Extent steps = 2 * static_cast<Extent>(layouts.size() - 1);
+  EXPECT_EQ(warm.plans().hits() - first_pass_hits, steps)
+      << "the second pass must replay every remap and every assign";
+  EXPECT_DOUBLE_EQ(warm.checksum(b.id()), cold.checksum(b.id()));
+}
+
+TEST_F(PairPlanTest, FaultedReplayRollsTheColdStepsRetries) {
+  // With transient faults on, a replay rolls the sealed flows; a cold
+  // step rolls the pricer's traffic. From the same RNG state both must
+  // draw the same faults and price the same retries.
+  const std::vector<Distribution> layouts = chain();
+  DataEnv env(ps_);
+  DistArray& a = env.real("A", dom_);
+  ProgramState warm(machine_);
+  ProgramState cold(machine_);
+  cold.plans().set_enabled(false);
+  for (ProgramState* state : {&warm, &cold}) {
+    state->create_with(a, layouts.front());
+  }
+  auto run_chain = [&](const std::string& pass) {
+    for (std::size_t k = 0; k + 1 < layouts.size(); ++k) {
+      RemapEvent ev;
+      ev.dummy = a.id();
+      ev.from = layouts[k];
+      ev.to = layouts[k + 1];
+      SCOPED_TRACE(cat(pass, " remap ", k));
+      expect_step_eq(warm.apply_remap(ev, a), cold.apply_remap(ev, a));
+      expect_same_machine_state(warm, cold);
+    }
+  };
+  run_chain("fault-free");  // records every plan on the caching side
+  const Extent hits_before = warm.plans().hits();
+  const FaultConfig faults{/*seed=*/17, /*prob=*/0.2, /*max_retries=*/60,
+                           /*backoff_base_us=*/25.0};
+  warm.comm().set_fault_config(faults);
+  cold.comm().set_fault_config(faults);
+  run_chain("faulted");
+  EXPECT_EQ(warm.plans().hits() - hits_before,
+            static_cast<Extent>(layouts.size() - 1));
+  EXPECT_GT(warm.comm().total_retries(), 0);
 }
 
 // --- the E2 acceptance bar: a 100-iteration 2-D BLOCK Jacobi ----------------

@@ -23,7 +23,6 @@
 #include <fstream>
 #include <map>
 #include <sstream>
-#include <tuple>
 
 #include "analysis/analyzer.hpp"
 #include "analysis/cost_model.hpp"
@@ -76,25 +75,6 @@ void expect_stats_equal(const StepStats& predicted, const StepStats& executed,
   EXPECT_EQ(predicted.time_us, executed.time_us) << where;
   EXPECT_EQ(predicted.exposed_comm_us, executed.exposed_comm_us) << where;
   EXPECT_EQ(predicted.hidden_comm_us, executed.hidden_comm_us) << where;
-}
-
-/// Aggregates a recorded plan's transfers into the cost model's traffic
-/// shape: per (src, dst) per phase, sync rows first, each phase sorted by
-/// (src, dst) — the order StepPricer::traffic() emits.
-std::vector<PairFlow> plan_traffic(const CommPlan& plan) {
-  std::map<std::tuple<bool, ApId, ApId>, PairFlow> rows;
-  for (const PlanTransfer& t : plan.transfers) {
-    PairFlow& f = rows[{t.posted, t.src, t.dst}];
-    f.src = t.src;
-    f.dst = t.dst;
-    f.posted = t.posted;
-    f.bytes += t.elem_bytes * t.count;
-    f.elements += t.count;
-  }
-  std::vector<PairFlow> out;
-  out.reserve(rows.size());
-  for (const auto& [k, f] : rows) out.push_back(f);
-  return out;
 }
 
 /// The acceptance differential over one script: predict statically, then
@@ -165,7 +145,8 @@ void expect_prediction_matches_execution(const std::string& script,
                            std::to_string(i));
     EXPECT_EQ(stmt.local_reads, plan.local_reads)
         << name << " statement " << i;
-    EXPECT_EQ(stmt.traffic, plan_traffic(plan))
+    // Direct equality: both are StepPricer::traffic() of the same charges.
+    EXPECT_EQ(stmt.traffic, plan.flows)
         << name << " statement " << i << ": per-pair traffic";
   }
 

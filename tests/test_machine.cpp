@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "exec/comm_plan.hpp"
 #include "machine/comm.hpp"
@@ -8,6 +10,7 @@
 #include "machine/metrics.hpp"
 #include "machine/topology.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace hpfnt {
 namespace {
@@ -247,8 +250,8 @@ TEST(SplitPhase, PostWaitReplaysBetweenSteps) {
   comm.compute(0, 5);
   StepStats recorded = comm.end_step();
   ASSERT_TRUE(plan->sealed);
-  ASSERT_EQ(plan->transfers.size(), 1u);
-  EXPECT_TRUE(plan->transfers[0].posted);
+  ASSERT_EQ(plan->flows.size(), 1u);
+  EXPECT_TRUE(plan->flows[0].posted);
 
   comm.reset();
   comm.post(*plan);
@@ -304,6 +307,69 @@ TEST(MemoryTracker, TracksPerProcessorBytes) {
   mem.release(0, 100);
   EXPECT_EQ(mem.bytes_on(0), 50);
   EXPECT_EQ(mem.peak_on(0), 150);
+}
+
+TEST(MemoryDeltaFold, FoldedRowsReproduceTheRawSequence) {
+  // Random +/- delta streams over P processors, on top of a random
+  // baseline (allocations then releases, so peaks sit above the bytes):
+  // committing the fold must leave every bytes_on(p) and peak_on(p)
+  // exactly where applying the raw stream in order does.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    const Extent procs = rng.uniform(1, 9);
+    MemoryTracker raw(procs);
+    MemoryTracker folded(procs);
+    for (ApId p = 0; p < procs; ++p) {
+      const Extent base = rng.uniform(0, 500);
+      const Extent freed = rng.uniform(0, base);
+      for (MemoryTracker* mem : {&raw, &folded}) {
+        mem->allocate(p, base);
+        mem->release(p, freed);
+      }
+    }
+    MemoryDeltaFold fold;
+    const std::int64_t length = rng.uniform(0, 120);
+    for (std::int64_t k = 0; k < length; ++k) {
+      const auto p = static_cast<ApId>(rng.uniform(0, procs - 1));
+      const Extent delta = rng.uniform(-300, 300);
+      if (delta >= 0) {
+        raw.allocate(p, delta);
+      } else {
+        raw.release(p, -delta);
+      }
+      fold.add(p, delta);
+    }
+    const std::vector<MemoryDelta> ops = fold.ops();
+    EXPECT_LE(ops.size(), static_cast<std::size_t>(2 * procs));
+    folded.apply(ops);
+    for (ApId p = 0; p < procs; ++p) {
+      EXPECT_EQ(folded.bytes_on(p), raw.bytes_on(p))
+          << "seed " << seed << " proc " << p;
+      EXPECT_EQ(folded.peak_on(p), raw.peak_on(p))
+          << "seed " << seed << " proc " << p;
+    }
+  }
+}
+
+TEST(MemoryDeltaFold, EveryTouchedProcessorKeepsARow) {
+  // A processor that only releases still names itself in the folded rows
+  // (a zero allocate), so a plan's footprint sees every processor whose
+  // memory the step changed.
+  MemoryDeltaFold fold;
+  fold.add(3, -40);
+  fold.add(1, 24);
+  fold.add(1, -24);
+  fold.add(3, -8);
+  const std::vector<MemoryDelta> ops = fold.ops();
+  ASSERT_EQ(ops.size(), 4u);
+  EXPECT_EQ(ops[0].p, 1);
+  EXPECT_EQ(ops[0].delta, 24);
+  EXPECT_EQ(ops[1].p, 1);
+  EXPECT_EQ(ops[1].delta, -24);
+  EXPECT_EQ(ops[2].p, 3);
+  EXPECT_EQ(ops[2].delta, 0);
+  EXPECT_EQ(ops[3].p, 3);
+  EXPECT_EQ(ops[3].delta, -48);
 }
 
 TEST(TextTable, RendersAlignedColumns) {
