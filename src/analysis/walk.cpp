@@ -94,7 +94,7 @@ void StaticWalk::run(const dir::AstProgram& program, WalkVisitor& visitor) {
                 "HF002")) {
           break;
         }
-        visitor.assign(node, bound);
+        if (!names_unmapped(bound)) visitor.assign(node, bound);
         break;
       }
       default:
@@ -111,10 +111,36 @@ void StaticWalk::run(const dir::AstProgram& program, WalkVisitor& visitor) {
           for (const dir::AstDeclName& n : node.declaration->names) {
             if (!env_.has(n.name)) undeclared_.insert(to_upper(n.name));
           }
+        } else {
+          remember_unmapped(node);
         }
         break;
     }
   }
+}
+
+void StaticWalk::remember_unmapped(const AstNode& node) {
+  // A failed REDISTRIBUTE or REALIGN leaves its array on the mapping the
+  // script gave it before, so only the declarative directives count.
+  std::vector<std::string> names;
+  if (node.kind == AstNode::Kind::kDistribute && !node.distribute->executable) {
+    names = node.distribute->names;
+  } else if (node.kind == AstNode::Kind::kAlign && !node.align->executable) {
+    names.push_back(node.align->alignee);
+  } else if (node.kind == AstNode::Kind::kShadow) {
+    names.push_back(node.shadow->name);
+  }
+  for (const std::string& name : names) {
+    if (env_.has(name)) unmapped_.insert(env_.find(name).id());
+  }
+}
+
+bool StaticWalk::names_unmapped(const dir::BoundArrayAssign& bound) const {
+  if (unmapped_.count(bound.lhs->id())) return true;
+  for (const SecLeaf& leaf : bound.rhs.leaves()) {
+    if (unmapped_.count(leaf.array)) return true;
+  }
+  return false;
 }
 
 void StaticWalk::report(std::string code, Severity severity,

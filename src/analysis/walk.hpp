@@ -18,7 +18,12 @@
 //
 // Cascade policy: a failed declaration leaves its names undeclared, and
 // later errors about those names are dropped. Only the declaration's own
-// error is reported.
+// error is reported. A failed DISTRIBUTE, ALIGN or SHADOW (HL003) leaves
+// its arrays on a mapping the script never asked for (a failed REDISTRIBUTE
+// or REALIGN leaves the one it asked for before), so no pass sees a
+// later assignment that writes or reads one of them: lint reports nothing
+// for it and the cost model does not price it, as the executor stops at
+// the directive's error.
 //
 // The passes are WalkVisitors. They keep only their own state and report
 // through the walk, so all diagnostics land in one list, in source order.
@@ -83,6 +88,8 @@ class StaticWalk {
   bool guarded(const dir::AstNode& node, const char* code, F&& step,
                const char* conformance_code = nullptr);
   bool legal_alignment(const dir::AstNode& node);
+  void remember_unmapped(const dir::AstNode& node);
+  bool names_unmapped(const dir::BoundArrayAssign& bound) const;
   void error(const char* code, const std::string& message, int line,
              int column);
 
@@ -90,6 +97,7 @@ class StaticWalk {
   dir::Binder binder_;
   std::vector<Diagnostic> diagnostics_;
   std::set<std::string> undeclared_;  // case-folded names of failed decls
+  std::set<ArrayId> unmapped_;  // arrays of failed mapping directives
 };
 
 }  // namespace hpfnt::analysis

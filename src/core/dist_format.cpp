@@ -5,6 +5,7 @@
 #include <map>
 #include <mutex>
 
+#include "core/set_interner.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
@@ -447,26 +448,40 @@ DimSegmentList DimMapping::compute_segment_list(const Triplet& t) const {
   if (len == 0) return out;
   check_index(t.lower());
   check_index(t.last());
+  // Reserve for the segments the triplet can cross, so a long list is
+  // written once rather than regrown: owners are monotone in the block
+  // family, CYCLIC(k) changes owner every k indices, and a table-backed
+  // format may change at every element.
+  const Index1 first = std::min(t.lower(), t.last());
+  const Index1 last = std::max(t.lower(), t.last());
+  Extent bound = len;
+  if (is_contiguous()) {
+    bound = owner(last) - owner(first) + 1;
+  } else if (kind_ == FormatKind::kCyclic) {
+    bound = (last - 1) / q_ - (first - 1) / q_ + 1;
+  }
+  out.segments.reserve(static_cast<std::size_t>(std::min(len, bound)));
+  SetInterner<DimOwnerSet> pool(out.sets);
   const Index1 step = t.stride();
   Extent k = 0;
   while (k < len) {
     const Index1 i = t.at(k);
-    DimOwnerSet own = owners(i);
+    const std::uint32_t set = may_replicate() ? pool.intern(owners(i))
+                                              : pool.intern_single(owner(i));
     ++out.probes;
     const auto [seg_lo, seg_hi] = segment_range(i);
     Extent span = step > 0 ? (seg_hi - i) / step : (i - seg_lo) / (-step);
     span = std::min(span, len - 1 - k);
-    if (!out.segments.empty() && out.segments.back().owners == own) {
+    if (!out.segments.empty() && out.segments.back().set == set) {
       out.segments.back().count += span + 1;
     } else {
-      DimSegment s;
-      s.lo = i;
-      s.count = span + 1;
-      s.local_offset = local_index(i);
-      s.owners = std::move(own);
-      out.segments.push_back(std::move(s));
+      out.segments.push_back({i, span + 1, set});
     }
     k += span + 1;
+  }
+  // Table-backed formats with long runs use little of their reservation.
+  if (out.segments.size() * 2 < out.segments.capacity()) {
+    out.segments.shrink_to_fit();
   }
   return out;
 }

@@ -107,19 +107,23 @@ class DistFormat {
 /// One maximal constant-owner segment of a dimension restricted to a
 /// triplet: `count` elements starting at normalized index `lo` and stepping
 /// by the triplet's stride, all mapped to the same per-dimension owner
-/// positions. Segment lists are the per-dimension primitive LayoutView's
-/// run builder composes by outer product (core/layout_view.hpp).
+/// positions, `sets[set]` of the segment's list. Segment lists are the
+/// per-dimension primitive LayoutView's run builder composes by outer
+/// product (core/layout_view.hpp).
 struct DimSegment {
-  Index1 lo = 0;       ///< normalized index (1..n) of the first element
-  Extent count = 0;    ///< elements covered at the triplet's stride
-  DimOwnerSet owners;  ///< the constant owner positions, as owners(lo) yields
-  Index1 local_offset = 0;  ///< local_index(lo) on the canonical (min) owner
+  Index1 lo = 0;          ///< normalized index (1..n) of the first element
+  Extent count = 0;       ///< elements covered at the triplet's stride
+  std::uint32_t set = 0;  ///< id of the owner positions in the list's pool
 };
 
 /// A dimension's constant-owner decomposition over one triplet, plus the
-/// number of per-element payload probes spent computing it.
+/// number of per-element payload probes spent computing it. `sets` pools
+/// the list's distinct owner-position sets (as owners(lo) yields them), at
+/// most np of them for a single-owner format; adjacent segments never share
+/// an id.
 struct DimSegmentList {
   std::vector<DimSegment> segments;
+  std::vector<DimOwnerSet> sets;
   Extent probes = 0;
 };
 

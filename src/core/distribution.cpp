@@ -500,7 +500,7 @@ Distribution Distribution::materialize() const {
   // the whole constant segment.
   const LayoutView view = LayoutView::whole(*this);
   view.for_each_run([&](const OwnerRun& run) {
-    for (Extent k = 0; k < run.count; ++k) table.push_back(run.owners);
+    for (Extent k = 0; k < run.count; ++k) table.push_back(view.owners(run));
   });
   return explicit_map(dom, std::move(table));
 }

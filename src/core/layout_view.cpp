@@ -6,6 +6,7 @@
 
 #include "core/alignment.hpp"
 #include "core/dist_format.hpp"
+#include "core/set_interner.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
@@ -112,8 +113,9 @@ Extent same_owner_span(const Distribution& dist, int dim,
 // per-dimension segment lists (DimMapping::segment_list): no per-element
 // probe is ever issued — the probes are the per-dimension segment walks,
 // shared across every section of the payload that agrees in a dimension's
-// triplet. Rows whose outer dimensions stay inside one segment tuple reuse
-// the composed owner sets.
+// triplet. A row's owner sets depend only on the outer dimensions' set ids,
+// so each distinct (dim-0 set, outer sets) tuple is composed once per change
+// of the outer ids, not once per dim-0 segment.
 void build_formats_runs(const Distribution& dist,
                         const std::vector<Triplet>& section, RunTable& out,
                         bool use_dim_memo) {
@@ -140,25 +142,25 @@ void build_formats_runs(const Distribution& dist,
     }
   }
 
-  // Expand each outer dimension's list into per-position segment pointers
-  // (cheap pointer fill; all probes were spent above).
-  std::vector<std::vector<const DimSegment*>> outer_seg(
+  // Expand each outer dimension's list into per-position set ids (cheap
+  // fill; all probes were spent above).
+  std::vector<std::vector<std::uint32_t>> outer_ids(
       static_cast<std::size_t>(rank - 1));
+  Extent rows = 1;
   for (int d = 1; d < rank; ++d) {
-    auto& ptrs = outer_seg[static_cast<std::size_t>(d - 1)];
-    ptrs.reserve(
-        static_cast<std::size_t>(section[static_cast<std::size_t>(d)].size()));
+    auto& ids = outer_ids[static_cast<std::size_t>(d - 1)];
+    const Extent len = section[static_cast<std::size_t>(d)].size();
+    ids.reserve(static_cast<std::size_t>(len));
     for (const DimSegment& s : lists[static_cast<std::size_t>(d)]->segments) {
-      for (Extent c = 0; c < s.count; ++c) ptrs.push_back(&s);
+      ids.insert(ids.end(), static_cast<std::size_t>(s.count), s.set);
     }
+    rows *= len;
   }
 
-  const Triplet& t0 = section[0];
-  const Extent len0 = t0.size();
-  const Index1 lower0 = domain.lower(0);
-  const bool dim0_distributed =
-      dist.dim_mapping(0).kind() != FormatKind::kCollapsed;
-  const std::vector<DimSegment>& segs0 = lists[0]->segments;
+  const DimSegmentList& list0 = *lists[0];
+  const Extent len0 = section[0].size();
+  // Every dim-0 segment of every row opening a run bounds the table.
+  out.runs.reserve(list0.segments.size() * static_cast<std::size_t>(rows));
 
   // Dims contributing a target coordinate, ascending (collapsed dims skip).
   SmallVector<int, kMaxRank> coord_dims;
@@ -168,71 +170,49 @@ void build_formats_runs(const Distribution& dist,
     }
   }
 
-  constexpr std::size_t kNoOpenRun = static_cast<std::size_t>(-1);
-  std::vector<OwnerSet> row_owners(segs0.size());
+  SetInterner<OwnerSet> pool(out.sets);
+  std::vector<std::uint32_t> row_ids(list0.sets.size());
   std::array<const DimOwnerSet*, kMaxRank> dim_sets{};
-  SmallVector<const DimSegment*, kMaxRank> cur_outer(
-      static_cast<std::size_t>(rank - 1), nullptr);
+  SmallVector<std::uint32_t, kMaxRank> cur_outer(
+      static_cast<std::size_t>(rank - 1), 0);
   bool row_valid = false;
 
   SmallVector<Extent, kMaxRank> opos(static_cast<std::size_t>(rank - 1), 0);
-  IndexTuple idx;
-  idx.resize(static_cast<std::size_t>(rank));
   Extent linear = 0;
   while (true) {
     bool changed = !row_valid;
-    for (int d = 1; d < rank; ++d) {
-      const std::size_t o =
-          static_cast<std::size_t>(opos[static_cast<std::size_t>(d - 1)]);
-      const DimSegment* s = outer_seg[static_cast<std::size_t>(d - 1)][o];
-      if (s != cur_outer[static_cast<std::size_t>(d - 1)]) {
-        cur_outer[static_cast<std::size_t>(d - 1)] = s;
+    for (std::size_t o = 0; o + 1 < static_cast<std::size_t>(rank); ++o) {
+      const std::uint32_t id =
+          outer_ids[o][static_cast<std::size_t>(opos[o])];
+      if (id != cur_outer[o]) {
+        cur_outer[o] = id;
         changed = true;
       }
-      idx[static_cast<std::size_t>(d)] =
-          section[static_cast<std::size_t>(d)].at(
-              opos[static_cast<std::size_t>(d - 1)]);
     }
     if (changed) {
-      for (std::size_t si = 0; si < segs0.size(); ++si) {
+      for (std::size_t s0 = 0; s0 < list0.sets.size(); ++s0) {
         std::size_t c = 0;
         for (int d : coord_dims) {
-          dim_sets[c++] = d == 0
-                              ? &segs0[si].owners
-                              : &cur_outer[static_cast<std::size_t>(d - 1)]
-                                     ->owners;
+          dim_sets[c++] =
+              d == 0 ? &list0.sets[s0]
+                     : &lists[static_cast<std::size_t>(d)]
+                            ->sets[cur_outer[static_cast<std::size_t>(d - 1)]];
         }
-        row_owners[si] = compose_dim_owners(target, dim_sets, c);
+        row_ids[s0] = pool.intern(compose_dim_owners(target, dim_sets, c));
       }
       row_valid = true;
     }
     // Emit this row's runs, merging adjacent equal owner sets exactly as
     // the probe-based walk does (distinct per-dimension positions can
     // compose to one owner set, e.g. under a folded oversize arrangement).
-    std::size_t open = kNoOpenRun;
+    const std::size_t row_first = out.runs.size();
     Extent k = 0;
-    for (std::size_t si = 0; si < segs0.size(); ++si) {
-      const DimSegment& s = segs0[si];
-      const Index1 seg_lo = s.lo + lower0 - 1;
-      const Index1 seg_hi = seg_lo + (s.count - 1) * t0.stride();
-      if (open != kNoOpenRun && out.runs[open].owners == row_owners[si]) {
-        OwnerRun& r = out.runs[open];
-        r.count += s.count;
-        r.hi = seg_hi;
+    for (const DimSegment& s : list0.segments) {
+      const std::uint32_t id = row_ids[s.set];
+      if (out.runs.size() > row_first && out.runs.back().set == id) {
+        out.runs.back().count += s.count;
       } else {
-        OwnerRun r;
-        r.begin = linear + k;
-        r.count = s.count;
-        r.lo = seg_lo;
-        r.hi = seg_hi;
-        r.stride = t0.stride();
-        for (int d = 1; d < rank; ++d) {
-          r.outer.push_back(idx[static_cast<std::size_t>(d)]);
-        }
-        if (dim0_distributed) r.local_offset = s.local_offset;
-        r.owners = row_owners[si];
-        out.runs.push_back(std::move(r));
-        open = out.runs.size() - 1;
+        out.runs.push_back({linear + k, s.count, id});
       }
       k += s.count;
     }
@@ -245,6 +225,9 @@ void build_formats_runs(const Distribution& dist,
     }
     if (d == rank) break;
   }
+  // Merges (rare: only when distinct positions fold onto one owner set)
+  // can leave most of the reservation unused.
+  if (out.runs.size() * 2 < out.runs.capacity()) out.runs.shrink_to_fit();
 }
 
 std::vector<Index1> section_key(const std::vector<Triplet>& section) {
@@ -262,12 +245,9 @@ void build_runs(const Distribution& dist, const std::vector<Triplet>& section,
                 RunTable& out, bool use_dim_memo) {
   const int rank = static_cast<int>(section.size());
   if (rank == 0) {
-    OwnerRun r;
-    r.begin = 0;
-    r.count = 1;
-    r.owners = dist.owners_uncached(IndexTuple{});
+    out.sets.push_back(dist.owners_uncached(IndexTuple{}));
     ++out.ownership_queries;
-    out.runs.push_back(std::move(r));
+    out.runs.push_back({0, 1, 0});
     return;
   }
   if (out.section_domain.size() == 0) return;
@@ -280,7 +260,7 @@ void build_runs(const Distribution& dist, const std::vector<Triplet>& section,
 
   const Triplet& t0 = section[0];
   const Extent len0 = t0.size();
-  constexpr std::size_t kNoOpenRun = static_cast<std::size_t>(-1);
+  SetInterner<OwnerSet> pool(out.sets);
 
   // Odometer over the outer dimensions' section positions, Fortran order
   // (dimension 1 varies fastest among them; dimension 0 is the run axis).
@@ -298,31 +278,18 @@ void build_runs(const Distribution& dist, const std::vector<Triplet>& section,
     // Walk one row: probe at each structural boundary, merge when the probe
     // repeats the open run's owner set (restores maximality where the
     // structural span is conservative, e.g. CYCLIC on one processor).
-    std::size_t open = kNoOpenRun;
+    const std::size_t row_first = out.runs.size();
     Extent k = 0;
     while (k < len0) {
       idx[0] = t0.at(k);
-      OwnerSet own = dist.owners_uncached(idx);
+      const std::uint32_t id = pool.intern(dist.owners_uncached(idx));
       ++out.ownership_queries;
       Extent span = same_owner_span(dist, 0, idx, t0.stride());
       span = std::min(span, len0 - 1 - k);
-      if (open != kNoOpenRun && out.runs[open].owners == own) {
-        OwnerRun& r = out.runs[open];
-        r.count += span + 1;
-        r.hi = t0.at(k + span);
+      if (out.runs.size() > row_first && out.runs.back().set == id) {
+        out.runs.back().count += span + 1;
       } else {
-        OwnerRun r;
-        r.begin = linear + k;
-        r.count = span + 1;
-        r.lo = idx[0];
-        r.hi = t0.at(k + span);
-        r.stride = t0.stride();
-        for (int d = 1; d < rank; ++d) {
-          r.outer.push_back(idx[static_cast<std::size_t>(d)]);
-        }
-        r.owners = std::move(own);
-        out.runs.push_back(std::move(r));
-        open = out.runs.size() - 1;
+        out.runs.push_back({linear + k, span + 1, id});
       }
       k += span + 1;
     }
@@ -350,7 +317,7 @@ const OwnerSet& owner_set_at(const RunTable& table, Extent linear_pos) {
   if (linear_pos >= it->begin + it->count) {
     throw MappingError(cat("position ", linear_pos, " beyond the run table"));
   }
-  return it->owners;
+  return table.owners(*it);
 }
 
 LayoutView::LayoutView(Distribution dist, std::vector<Triplet> section)
@@ -393,11 +360,9 @@ RunTable LayoutView::compute(const Distribution& dist,
 }
 
 IndexTuple LayoutView::parent_index(const OwnerRun& run, Extent offset) const {
-  IndexTuple idx;
-  if (section_.empty()) return idx;  // rank-0: the single empty tuple
-  idx.push_back(run.lo + offset * run.stride);
-  for (Index1 v : run.outer) idx.push_back(v);
-  return idx;
+  if (section_.empty()) return IndexTuple{};  // rank-0: the single empty tuple
+  return dist_.domain().section_parent_index(
+      section_, section_domain().delinearize(run.begin + offset));
 }
 
 }  // namespace hpfnt

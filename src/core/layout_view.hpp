@@ -6,12 +6,17 @@
 // LayoutView exposes that structure directly: given a Distribution and a
 // triplet-section of its index domain, it yields the maximal runs
 //
-//     { lo, hi, stride, owners, local_offset }
+//     { begin, count, set }
 //
 // along the first (fastest-varying, Fortran order) dimension over which the
-// owner set is constant. Consumers iterate runs instead of elements, so one
-// ownership decision — and one priced communication event — covers a whole
-// contiguous segment.
+// owner set is constant: `count` section positions from linear position
+// `begin`, owned by `sets[set]`. A table pools its distinct owner sets —
+// each format maps a dimension onto at most NP positions, so a table of
+// thousands of runs holds a handful of sets — and a run names its set by a
+// 32-bit id, which keeps a run at 24 bytes. Consumers iterate runs instead
+// of elements, so one ownership decision — and one priced communication
+// event — covers a whole contiguous segment; parent_index() recovers a
+// run's parent-domain indices from its position.
 //
 // Run tables are computed
 //   * analytically for kFormats payloads: each dimension's constant-owner
@@ -19,6 +24,8 @@
 //     segments, GENERAL_BLOCK bound arrays; memoized per payload per
 //     dimension, so sections sharing a dimension triplet share the list)
 //     is composed by outer product into runs without any per-element probe,
+//     one owner-set composition per distinct per-dimension set tuple of a
+//     row,
 //   * by composition through the alignment function α for kConstructed
 //     (linear α maps a segment of the base's runs back onto the alignee;
 //     clamped ends form their own constant runs),
@@ -32,6 +39,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -46,33 +54,28 @@ namespace hpfnt {
 /// One maximal constant-owner run of a sectioned distribution. Runs never
 /// cross a "row" boundary (a change of the fixed outer dimensions), so a
 /// run always describes a 1-D arithmetic index sequence of the parent
-/// domain: lo, lo+stride, ..., hi.
+/// domain (LayoutView::parent_index).
 struct OwnerRun {
-  Extent begin = 0;  ///< linear position (0-based, Fortran order) of the
-                     ///< run's first element within the section domain
-  Extent count = 0;  ///< number of consecutive section elements covered
-
-  Index1 lo = 0;      ///< parent-domain index (dim 0) of the first element
-  Index1 hi = 0;      ///< parent-domain index (dim 0) of the last element
-  Index1 stride = 1;  ///< parent-domain step between consecutive elements
-  IndexTuple outer;   ///< fixed parent-domain indices of dims 1..rank-1
-
-  OwnerSet owners;  ///< the constant owner set, exactly as owners(i) yields
-
-  Index1 local_offset = 0;  ///< 1-based dim-0 local index of the first
-                            ///< element on the canonical (minimum) owner
-                            ///< (kFormats payloads with a distributed dim 0;
-                            ///< 0 otherwise)
+  Extent begin = 0;       ///< linear position (0-based, Fortran order) of the
+                          ///< run's first element within the section domain
+  Extent count = 0;       ///< number of consecutive section elements covered
+  std::uint32_t set = 0;  ///< id of the run's owner set in RunTable::sets
 };
+static_assert(sizeof(OwnerRun) <= 24, "runs stay slim records");
 
 /// A computed run table: the runs partition the section domain's linear
-/// positions [0, size) exactly once, in order. `ownership_queries` is the
-/// number of per-element payload probes spent building the table — the
+/// positions [0, size) exactly once, in order. `sets` pools the distinct
+/// owner sets, exactly as owners(i) yields them; equal ids mean equal sets,
+/// and adjacent runs of one row never share an id. `ownership_queries` is
+/// the number of per-element payload probes spent building the table — the
 /// figure the E1 run-based benchmark compares against a per-element sweep.
 struct RunTable {
   IndexDomain section_domain;
   std::vector<OwnerRun> runs;
+  std::vector<OwnerSet> sets;
   Extent ownership_queries = 0;
+
+  const OwnerSet& owners(const OwnerRun& run) const { return sets[run.set]; }
 };
 
 /// The owner set at a linear section position (binary search over runs).
@@ -115,13 +118,18 @@ class LayoutView {
     return table_->ownership_queries;
   }
 
+  /// The constant owner set of a run of this view.
+  const OwnerSet& owners(const OwnerRun& run) const {
+    return table_->owners(run);
+  }
+
   /// Owner set of the element at a linear section position.
   const OwnerSet& owner_set_at(Extent linear_pos) const {
     return hpfnt::owner_set_at(*table_, linear_pos);
   }
 
   /// Parent-domain index of the run's element at `offset` (0-based,
-  /// 0 <= offset < run.count).
+  /// 0 <= offset < run.count), derived from its section position.
   IndexTuple parent_index(const OwnerRun& run, Extent offset) const;
 
   /// Calls `fn` for every run, in table order.
@@ -155,7 +163,7 @@ void for_each_common_segment(const RunTable& a, const RunTable& b, Fn&& fn) {
     const Extent end_a = ra.begin + ra.count;
     const Extent end_b = rb.begin + rb.count;
     const Extent end = std::min(end_a, end_b);
-    fn(pos, end - pos, ra.owners, rb.owners);
+    fn(pos, end - pos, a.owners(ra), b.owners(rb));
     pos = end;
     if (pos == end_a) ++ia;
     if (pos == end_b) ++ib;

@@ -73,9 +73,9 @@ void charge_assign_step(const LayoutView& lhs_view,
       if (leaf_view.size() != 1) {
         throw InternalError("nonconforming operand run table in assignment");
       }
-      const OwnerSet& leaf_owners = leaf_view.runs().front().owners;
+      const OwnerSet& leaf_owners = leaf_view.owners(leaf_view.runs().front());
       for (const OwnerRun& r : lhs_view.runs()) {
-        charge_reads(r.count, r.owners, leaf_owners, bytes);
+        charge_reads(r.count, lhs_view.owners(r), leaf_owners, bytes);
       }
       continue;
     }
@@ -92,10 +92,11 @@ void charge_assign_step(const LayoutView& lhs_view,
     if (posted[l]) engine.end_posted();
   }
   for (const OwnerRun& r : lhs_view.runs()) {
-    const ApId p = min_owner(r.owners);
+    const OwnerSet& owners = lhs_view.owners(r);
+    const ApId p = min_owner(owners);
     if (flops > 0) engine.compute(p, flops * r.count);
     // Replicas beyond the computing owner receive the run by message.
-    for (ApId q : r.owners) {
+    for (ApId q : owners) {
       if (q != p) engine.transfer_block(p, q, elem_bytes, r.count);
     }
   }
@@ -178,7 +179,10 @@ inline std::string remap_step_label(const RemapEvent& event,
 /// The charge stream of one remap step (ProgramState::apply_remap): per
 /// common constant-owner segment of the old and new whole-domain layouts,
 /// every new owner lacking the value receives it from the canonical
-/// (minimum) old owner. `on_replica_delta(p, delta)` reports the replica
+/// (minimum) old owner. Elements that stay with an owner are not charged,
+/// not even as local reads: a remap moves data and reads no operand, unlike
+/// assign and copy_section, which count one local read per element their
+/// reader already holds. `on_replica_delta(p, delta)` reports the replica
 /// appearances (+bytes) and disappearances (-bytes) in charge order — the
 /// executor folds them per processor (MemoryDeltaFold) into memory
 /// accounting and the recorded plan's mem_ops; the cost model passes a

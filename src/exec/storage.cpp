@@ -62,14 +62,16 @@ const ProgramState::Store& ProgramState::store(ArrayId id) const {
 void ProgramState::account_allocate(const Store& s) {
   // One pass over the layout's run table counts every replica exactly once
   // per owner, a whole constant-owner segment at a time.
-  for (const OwnerRun& r : LayoutView::whole(s.dist).runs()) {
-    for (ApId p : r.owners) memory_.allocate(p, s.elem_bytes * r.count);
+  const LayoutView view = LayoutView::whole(s.dist);
+  for (const OwnerRun& r : view.runs()) {
+    for (ApId p : view.owners(r)) memory_.allocate(p, s.elem_bytes * r.count);
   }
 }
 
 void ProgramState::account_release(const Store& s) {
-  for (const OwnerRun& r : LayoutView::whole(s.dist).runs()) {
-    for (ApId p : r.owners) memory_.release(p, s.elem_bytes * r.count);
+  const LayoutView view = LayoutView::whole(s.dist);
+  for (const OwnerRun& r : view.runs()) {
+    for (ApId p : view.owners(r)) memory_.release(p, s.elem_bytes * r.count);
   }
 }
 
@@ -477,8 +479,9 @@ StepStats ProgramState::checkpoint(Checkpoint& out, const std::string& label) {
   StepGuard guard(comm_);
   for (ArrayId id : ids) {
     const Store& s = stores_.at(id);
-    for (const OwnerRun& r : LayoutView::whole(s.dist).runs()) {
-      comm_.transfer_block(min_surviving_owner(r.owners, *failed),
+    const LayoutView view = LayoutView::whole(s.dist);
+    for (const OwnerRun& r : view.runs()) {
+      comm_.transfer_block(min_surviving_owner(view.owners(r), *failed),
                            coordinator, s.elem_bytes, r.count);
     }
   }
@@ -520,8 +523,9 @@ StepStats ProgramState::restore(const Checkpoint& ckpt,
   StepGuard guard(comm_);
   for (const CheckpointEntry& e : ckpt.entries) {
     const Store& s = stores_.at(e.id);
-    for (const OwnerRun& r : LayoutView::whole(s.dist).runs()) {
-      for (ApId p : r.owners) {
+    const LayoutView view = LayoutView::whole(s.dist);
+    for (const OwnerRun& r : view.runs()) {
+      for (ApId p : view.owners(r)) {
         comm_.transfer_block(coordinator, p, s.elem_bytes, r.count);
       }
     }

@@ -32,8 +32,9 @@ std::string RecoveryReport::to_string() const {
 namespace {
 
 bool layout_references(const Distribution& dist, const FailureSet& failed) {
-  for (const OwnerRun& r : LayoutView::whole(dist).runs()) {
-    for (ApId q : r.owners) {
+  const LayoutView view = LayoutView::whole(dist);
+  for (const OwnerRun& r : view.runs()) {
+    for (ApId q : view.owners(r)) {
       if (failed.contains(q)) return true;
     }
   }

@@ -74,6 +74,9 @@ namespace hpfnt {
 // exec/comm_plan.hpp; the engine fills it at seal and reads it on replay).
 struct CommPlan;
 
+/// The priced statistics of one step. Local reads are not a field: the
+/// engine sums them across steps (CommEngine::local_reads), and a remap
+/// step adds none.
 struct StepStats {
   std::string label;
   Extent messages = 0;        // distinct (src,dst) pairs, both phases
@@ -191,6 +194,11 @@ class CommEngine {
   double total_time_us() const noexcept { return total_time_us_; }
   double total_exposed_comm_us() const noexcept { return total_exposed_us_; }
   double total_hidden_comm_us() const noexcept { return total_hidden_us_; }
+  /// Reads satisfied without a message, summed over steps. What counts
+  /// depends on the step kind: assign and copy_section count one per
+  /// element whose reader already holds it; a remap counts none for the
+  /// elements that stay with an owner, since it moves data and reads no
+  /// operand (exec/pricing.hpp charge_remap_step).
   Extent local_reads() const noexcept { return local_reads_; }
   void count_local_read() { count_local_reads(1); }
   void count_local_reads(Extent n);

@@ -163,6 +163,18 @@ foreach(mode IN ITEMS "" --cost --exec)
 endforeach()
 string(FIND "${err}" "error at 2:1: ${cyclic_wrap_msg}" has_exec_line)
 check("cyclic_wrap: execution error reports line 2" has_exec_line GREATER -1)
+# The failed DISTRIBUTE leaves A on a mapping the script never asked for,
+# so line 3 is neither linted nor priced: no HC003/HS001 about it, no cost
+# row, and nothing in the totals.
+foreach(mode IN ITEMS "" --cost)
+  run_hpflint(1 ${mode} "${WORK_DIR}/cyclic_wrap.hpf")
+  string(FIND "${out}" "cyclic_wrap.hpf:3" has_line3)
+  check("cyclic_wrap ${mode}: no diagnostic for line 3" has_line3 EQUAL -1)
+endforeach()
+string(FIND "${out}" "totals: 0 msgs, 0 bytes" has_zero_totals)
+check("cyclic_wrap --cost: line 3 is not priced" has_zero_totals GREATER -1)
+string(FIND "${out}" "plans: 0 priced" has_no_plans)
+check("cyclic_wrap --cost: no plan priced" has_no_plans GREATER -1)
 
 # --- --json line schema -----------------------------------------------------
 run_hpflint(0 --json "${SCRIPTS}/bad_undershadow.hpf")

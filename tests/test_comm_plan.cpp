@@ -816,6 +816,69 @@ TEST_F(PlanReplayTest, RemapReplayPreservesPeakMemory) {
   }
 }
 
+TEST_F(PlanReplayTest, RemapPeakGaugesMatchHandComputedGolden) {
+  // Absolute gauges, not cold-vs-warm agreement: a replicated
+  // user-defined layout R -> BLOCK -> R over Q(1:2), cold and replayed.
+  // R puts elements 1-2 on AP 1 and elements 3-4 on both APs; BLOCK puts
+  // 1-2 on AP 0 and 3-4 on AP 1. R -> BLOCK first gives AP 0 elements 1-2,
+  // then drops its replica of 3-4: net 0, but its peak rises by two
+  // elements in between.
+  const IndexDomain dom{Dim(1, 4)};
+  const ProcessorRef q2(ps_.find("Q"), {TargetSub::range(Triplet(1, 2))});
+  const DistFormat rep = DistFormat::user_defined(
+      "rep_hi", [](Index1 i, Extent, Extent) {
+        DimOwnerSet owners;
+        if (i > 2) owners.push_back(1);
+        owners.push_back(2);
+        return owners;
+      });
+  const Distribution r = Distribution::formats(dom, {rep}, q2);
+  const Distribution block =
+      Distribution::formats(dom, {DistFormat::block()}, q2);
+
+  for (const bool plans : {false, true}) {
+    SCOPED_TRACE(plans ? "replayed" : "cold");
+    DataEnv env(ps_);
+    DistArray& a = env.real("A", dom);
+    DistArray& b = env.real("B", dom);
+    const Extent e = a.bytes() / a.size();
+    ProgramState state(machine_);
+    state.plans().set_enabled(plans);
+    auto remap = [&](DistArray& x, const Distribution& from,
+                     const Distribution& to) {
+      RemapEvent ev;
+      ev.dummy = x.id();
+      ev.from = from;
+      ev.to = to;
+      state.apply_remap(ev, x);
+    };
+    // {bytes_on(0), peak_on(0), bytes_on(1), peak_on(1)}, in elements.
+    auto expect_gauges = [&](Extent b0, Extent p0, Extent b1, Extent p1) {
+      EXPECT_EQ(state.memory().bytes_on(0), b0 * e);
+      EXPECT_EQ(state.memory().peak_on(0), p0 * e);
+      EXPECT_EQ(state.memory().bytes_on(1), b1 * e);
+      EXPECT_EQ(state.memory().peak_on(1), p1 * e);
+    };
+
+    state.create_with(a, r);
+    expect_gauges(2, 2, 4, 4);
+    remap(a, r, block);  // AP 0: +2 (peak 4), -2; AP 1: -2
+    expect_gauges(2, 4, 2, 4);
+    remap(a, block, r);  // AP 0: -2, +2 (no rise); AP 1: +2
+    expect_gauges(2, 4, 4, 4);
+
+    // B repeats A's round trip from higher gauges, so the peak it sets is
+    // new; with plans on, both of its remaps replay A's plans.
+    state.create_with(b, r);
+    expect_gauges(4, 4, 8, 8);
+    remap(b, r, block);  // AP 0: +2 (peak 6), -2; AP 1: -2
+    expect_gauges(4, 6, 6, 8);
+    remap(b, block, r);
+    expect_gauges(4, 6, 8, 8);
+    EXPECT_EQ(state.plans().hits(), plans ? 2 : 0);
+  }
+}
+
 // --- sealed plans hold per-pair traffic -------------------------------------
 
 /// A 16-processor session over 2^14 elements — the remap_cold workload's
@@ -916,6 +979,17 @@ TEST_F(PairPlanTest, CyclicToBlockRemapSealsPerPairRows) {
     for (ApId p = 0; p < kP; ++p) all[static_cast<std::size_t>(p)] = p;
     EXPECT_EQ(plan.referenced_procs, all);
   });
+
+  // The local-read convention: the remap counted none for the kN / kP
+  // elements that stayed put, while an assignment counts one per element
+  // its computing owner already holds — all of them for B = A on BLOCK.
+  EXPECT_EQ(state.comm().local_reads(), 0);
+  DistArray& b = env.real("B", dom_);
+  state.create_with(b, ev.to);
+  const AssignResult copy =
+      assign_on_layout(state, b, dom_.dims(), SecExpr::whole(a), "B = A");
+  EXPECT_EQ(copy.local_reads, kN);
+  EXPECT_EQ(state.comm().local_reads(), kN);
 }
 
 TEST_F(PairPlanTest, ColdAndReplayedRemapsAgreeOnStatsTotalsAndPeaks) {

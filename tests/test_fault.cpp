@@ -365,9 +365,9 @@ TEST(Recovery, SurvivingReplicaRestoresEverythingWithoutACheckpoint) {
   EXPECT_FALSE(report.remapped.empty());
   EXPECT_GT(report.total_time_us(), 0.0);
   // The new layout must not place a single element on the dead processor.
-  for (const OwnerRun& r :
-       LayoutView::whole(s.state.layout(s.id("A"))).runs()) {
-    for (ApId q : r.owners) EXPECT_NE(q, 3);
+  const LayoutView view = LayoutView::whole(s.state.layout(s.id("A")));
+  for (const OwnerRun& r : view.runs()) {
+    for (ApId q : view.owners(r)) EXPECT_NE(q, 3);
   }
 }
 

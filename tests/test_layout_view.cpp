@@ -3,8 +3,10 @@
 // For random distributions of every Distribution::Kind and random
 // triplet-sections, the computed run table must
 //   * cover the section's linear position space exactly once, in order,
-//   * describe each run's elements consistently (lo/hi/stride/outer agree
-//     with the section triplets and with section_parent_index), and
+//   * keep every run inside one row, so its elements step along dimension 0
+//     only (parent_index agrees with the section triplets),
+//   * pool its owner sets without duplicates, address them by in-range ids,
+//     and never give adjacent runs of one row the same id (maximality), and
 //   * report, for sampled elements inside every run, exactly the owner set
 //     the per-element payload query owners_uncached(i) yields.
 // On top of the properties: the memo cache shares tables between equal
@@ -119,10 +121,20 @@ std::vector<Triplet> random_section(Rng& rng, const IndexDomain& domain) {
   return section;
 }
 
+/// The pool holds each distinct owner set once.
+void check_pool(const RunTable& table) {
+  for (std::size_t i = 0; i < table.sets.size(); ++i) {
+    for (std::size_t j = i + 1; j < table.sets.size(); ++j) {
+      EXPECT_NE(table.sets[i], table.sets[j])
+          << "pool entries " << i << " and " << j << " are equal";
+    }
+  }
+}
+
 void expect_owner_match(const Distribution& dist, const LayoutView& view,
                         const OwnerRun& run, Extent offset) {
   const IndexTuple element = view.parent_index(run, offset);
-  EXPECT_EQ(dist.owners_uncached(element), run.owners)
+  EXPECT_EQ(dist.owners_uncached(element), view.owners(run))
       << "element offset " << offset << " of run at linear " << run.begin;
 }
 
@@ -137,37 +149,38 @@ void check_view(const Distribution& dist, const std::vector<Triplet>& section,
   for (const OwnerRun& run : view.runs()) {
     ASSERT_EQ(run.begin, pos);
     ASSERT_GE(run.count, 1);
-    ASSERT_FALSE(run.owners.empty());
+    ASSERT_LT(run.set, view.table().sets.size());
+    ASSERT_FALSE(view.owners(run).empty());
     pos += run.count;
   }
   ASSERT_EQ(pos, shape.size());
+  check_pool(view.table());
 
-  // Element consistency + owner sets at sampled offsets of every run.
-  for (const OwnerRun& run : view.runs()) {
+  // Rows and owner sets at sampled offsets of every run.
+  const std::vector<OwnerRun>& runs = view.runs();
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    const OwnerRun& run = runs[r];
     if (dist.domain().rank() > 0) {
-      EXPECT_EQ(run.lo + (run.count - 1) * run.stride, run.hi);
-      // The run's first element agrees with section_parent_index on the
-      // delinearized section position.
-      const IndexTuple via_section = dist.domain().section_parent_index(
-          section, shape.delinearize(run.begin));
-      EXPECT_EQ(view.parent_index(run, 0), via_section);
+      // A run stays inside one row: its elements step along dimension 0
+      // by the section's stride, all other indices fixed.
+      const Extent len0 = section[0].size();
+      ASSERT_LE(run.begin % len0 + run.count, len0);
+      const IndexTuple first = view.parent_index(run, 0);
+      const IndexTuple last = view.parent_index(run, run.count - 1);
+      EXPECT_EQ(last[0], first[0] + (run.count - 1) * section[0].stride());
+      for (std::size_t d = 1; d < first.size(); ++d) {
+        EXPECT_EQ(last[d], first[d]);
+      }
+      // Maximality: the next run of the same row has another owner set.
+      if (r + 1 < runs.size() && runs[r + 1].begin % len0 != 0) {
+        EXPECT_NE(runs[r + 1].set, run.set)
+            << "adjacent runs at linear " << run.begin << " share a set";
+      }
     }
     expect_owner_match(dist, view, run, 0);
     expect_owner_match(dist, view, run, run.count - 1);
     expect_owner_match(dist, view, run, run.count / 2);
     expect_owner_match(dist, view, run, rng.uniform(0, run.count - 1));
-
-    // local_offset: the first element's dim-0 local index on its owner for
-    // kFormats payloads with a distributed dim 0; 0 otherwise.
-    if (dist.kind() == Distribution::Kind::kFormats &&
-        dist.domain().rank() > 0 &&
-        dist.dim_mapping(0).kind() != FormatKind::kCollapsed) {
-      EXPECT_EQ(run.local_offset,
-                dist.dim_mapping(0).local_index(run.lo -
-                                                dist.domain().lower(0) + 1));
-    } else {
-      EXPECT_EQ(run.local_offset, 0);
-    }
   }
 }
 
@@ -270,7 +283,7 @@ TEST(LayoutViewProperties, ReplicatedExplicitCollapsesToOneRunPerRow) {
   const LayoutView view = LayoutView::whole(dist);
   ASSERT_EQ(view.run_count(), 1);
   EXPECT_EQ(view.runs().front().count, 64);
-  EXPECT_EQ(view.runs().front().owners.size(), 8u);
+  EXPECT_EQ(view.owners(view.runs().front()).size(), 8u);
 }
 
 // --- rank-0 and empty sections ----------------------------------------------
@@ -283,7 +296,8 @@ TEST(LayoutViewProperties, ScalarDomainYieldsOneRun) {
   const LayoutView view = LayoutView::whole(dist);
   ASSERT_EQ(view.run_count(), 1);
   EXPECT_EQ(view.runs().front().count, 1);
-  EXPECT_EQ(view.runs().front().owners, dist.owners_uncached(IndexTuple{}));
+  EXPECT_EQ(view.owners(view.runs().front()),
+            dist.owners_uncached(IndexTuple{}));
 }
 
 TEST(LayoutViewProperties, EmptySectionYieldsNoRuns) {
@@ -342,6 +356,81 @@ TEST(LayoutViewMemo, OwnersShimAnswersFromWholeDomainTable) {
     EXPECT_EQ(dist.owners(idx({i})), dist.owners_uncached(idx({i})));
   }
   EXPECT_THROW(dist.owners(idx({98})), MappingError);
+}
+
+// --- pooled owner sets -------------------------------------------------------
+
+// The five layouts a cold remap walks (CYCLIC(1) -> CYCLIC(8) ->
+// GENERAL_BLOCK -> INDIRECT -> BLOCK) at 2^14 elements on 16 processors:
+// exact run counts, and never more pooled sets than processors.
+TEST(LayoutViewPool, RemapFormatsAtSixteenKOnSixteenProcessors) {
+  constexpr Extent kN = 1 << 14;
+  constexpr Extent kNp = 16;
+  ProcessorSpace ps(kNp);
+  ps.declare("Q", IndexDomain::of_extents({kNp}));
+  Rng rng(3);
+  std::vector<Extent> sizes(kNp);
+  Extent used = 0;
+  for (std::size_t p = 0; p + 1 < sizes.size(); ++p) {
+    used += (sizes[p] = rng.uniform(1, kN / kNp));
+  }
+  sizes.back() = kN - used;
+  std::vector<Extent> owner(static_cast<std::size_t>(kN));
+  for (Extent& o : owner) o = rng.uniform(1, kNp);
+  Extent indirect_runs = 1;
+  for (std::size_t i = 1; i < owner.size(); ++i) {
+    if (owner[i] != owner[i - 1]) ++indirect_runs;
+  }
+
+  const std::vector<std::pair<DistFormat, Extent>> cases = {
+      {DistFormat::cyclic(1), kN},
+      {DistFormat::cyclic(8), kN / 8},
+      {DistFormat::general_block_sizes(sizes), kNp},
+      {DistFormat::indirect(owner), indirect_runs},
+      {DistFormat::block(), kNp}};
+  for (const auto& [format, runs] : cases) {
+    const Distribution dist = Distribution::formats(
+        IndexDomain{Dim(kN)}, {format}, ProcessorRef(ps.find("Q")));
+    const RunTable table = LayoutView::compute(dist, dist.domain().dims());
+    EXPECT_EQ(static_cast<Extent>(table.runs.size()), runs)
+        << format.to_string();
+    EXPECT_LE(table.sets.size(), static_cast<std::size_t>(kNp))
+        << format.to_string();
+    check_pool(table);
+  }
+}
+
+// A user-defined format with n distinct owner sets (each used twice, never
+// by neighbours) pools exactly n sets, in its segment list and in its run
+// table. n is large enough that interning must not be quadratic.
+TEST(LayoutViewPool, UserDefinedFormatPoolsEachDistinctSetOnce) {
+  constexpr Extent kNp = 64;
+  constexpr Extent kDistinct = 2048;
+  ProcessorSpace ps(kNp);
+  ps.declare("Q", IndexDomain::of_extents({kNp}));
+  const DistFormat pairs = DistFormat::user_defined(
+      "pairs", [](Index1 i, Extent, Extent) {
+        const Index1 j = (i - 1) % kDistinct;
+        const Index1 a = j % kNp + 1;
+        const Index1 b = j / kNp + 1;
+        DimOwnerSet owners;
+        owners.push_back(a);
+        if (b != a) owners.push_back(b);
+        return owners;
+      });
+  const Distribution dist =
+      Distribution::formats(IndexDomain{Dim(2 * kDistinct)}, {pairs},
+                            ProcessorRef(ps.find("Q")));
+  const DimSegmentList list =
+      dist.dim_mapping(0).compute_segment_list(Triplet(1, 2 * kDistinct));
+  EXPECT_EQ(list.sets.size(), static_cast<std::size_t>(kDistinct));
+  EXPECT_EQ(list.segments.size(), static_cast<std::size_t>(2 * kDistinct));
+
+  const LayoutView view = LayoutView::whole(dist);
+  EXPECT_EQ(view.table().sets.size(), static_cast<std::size_t>(kDistinct));
+  EXPECT_EQ(view.run_count(), 2 * kDistinct);
+  EXPECT_EQ(view.owners(view.runs()[0]), view.owners(view.runs()[kDistinct]));
+  check_pool(view.table());
 }
 
 // --- the E1 acceptance bar ---------------------------------------------------
