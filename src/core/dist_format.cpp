@@ -29,7 +29,9 @@ DistFormat DistFormat::general_block_sizes(const std::vector<Extent>& sizes) {
   Extent acc = 0;
   for (Extent s : sizes) {
     if (s < 0) throw ConformanceError("GENERAL_BLOCK sizes must be >= 0");
-    acc += s;
+    if (__builtin_add_overflow(acc, s, &acc)) {
+      throw ConformanceError("GENERAL_BLOCK sizes overflow their sum");
+    }
     bounds.push_back(acc);
   }
   if (!bounds.empty()) bounds.pop_back();  // last block's end is implied (N)

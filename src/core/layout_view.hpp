@@ -14,8 +14,10 @@
 // each format maps a dimension onto at most NP positions, so a table of
 // thousands of runs holds a handful of sets — and a run names its set by a
 // 32-bit id, which keeps a run at 24 bytes. Consumers iterate runs instead
-// of elements, so one ownership decision — and one priced communication
-// event — covers a whole contiguous segment; parent_index() recovers a
+// of elements, so one ownership decision covers a whole contiguous
+// segment; the charge walks go one step further and sum segment counts per
+// pair of set ids (SetPairCounts), so one priced communication event
+// covers every segment of an owner-set pair. parent_index() recovers a
 // run's parent-domain indices from its position.
 //
 // Run tables are computed
@@ -47,7 +49,9 @@
 #include "core/index_domain.hpp"
 #include "core/triplet.hpp"
 #include "core/types.hpp"
+#include "machine/step_accum.hpp"
 #include "support/error.hpp"
+#include "support/small_vector.hpp"
 
 namespace hpfnt {
 
@@ -145,11 +149,13 @@ class LayoutView {
 };
 
 /// Walks two run tables over the same linear position space in lock step,
-/// calling fn(begin, count, owners_a, owners_b) once per maximal segment on
-/// which both owner sets are constant. The tables must cover the same total
-/// size.
+/// calling fn(begin, count, id_a, id_b) once per maximal segment on which
+/// both owner sets are constant; id_a and id_b are the two runs' set ids,
+/// into a.sets and b.sets respectively. The tables must cover the same
+/// total size.
 template <typename Fn>
-void for_each_common_segment(const RunTable& a, const RunTable& b, Fn&& fn) {
+void for_each_common_segment_ids(const RunTable& a, const RunTable& b,
+                                 Fn&& fn) {
   const Extent total = a.section_domain.size();
   if (total != b.section_domain.size()) {
     throw InternalError("common-segment walk over tables of different sizes");
@@ -163,11 +169,105 @@ void for_each_common_segment(const RunTable& a, const RunTable& b, Fn&& fn) {
     const Extent end_a = ra.begin + ra.count;
     const Extent end_b = rb.begin + rb.count;
     const Extent end = std::min(end_a, end_b);
-    fn(pos, end - pos, a.owners(ra), b.owners(rb));
+    fn(pos, end - pos, ra.set, rb.set);
     pos = end;
     if (pos == end_a) ++ia;
     if (pos == end_b) ++ib;
   }
+}
+
+/// for_each_common_segment_ids with the pooled sets in place of the ids:
+/// fn(begin, count, owners_a, owners_b) once per common segment.
+template <typename Fn>
+void for_each_common_segment(const RunTable& a, const RunTable& b, Fn&& fn) {
+  for_each_common_segment_ids(a, b, [&](Extent begin, Extent count,
+                                        std::uint32_t ia, std::uint32_t ib) {
+    fn(begin, count, a.sets[ia], b.sets[ib]);
+  });
+}
+
+/// Element counts of one table summed per pooled set id: sets[id]'s share
+/// of the positions, 0 for a pooled set no run names.
+inline SmallVector<Extent, 256> set_counts(const RunTable& table) {
+  SmallVector<Extent, 256> sums(table.sets.size(), 0);
+  for (const OwnerRun& r : table.runs) sums[r.set] += r.count;
+  return sums;
+}
+
+/// Element counts summed per (set id in a, set id in b) pair of two tables
+/// over one position space. The ids index two different pools, so equal
+/// ids do not mean equal sets. The counts live in a dense na x nb matrix
+/// when na * nb <= max(runs(a) + runs(b), kInline), so its memory and its
+/// scan stay within the walk's own size or a small constant (kInline
+/// counts are held inline: a small walk allocates nothing); otherwise —
+/// thousands of distinct user-defined sets — in a hashed table keyed by
+/// the packed id pair. The choice is a function of the two tables alone.
+class SetPairCounts {
+ public:
+  static constexpr std::size_t kInline = 256;
+
+  SetPairCounts(const RunTable& a, const RunTable& b)
+      : a_(&a),
+        b_(&b),
+        nb_(b.sets.size()),
+        dense_(static_cast<std::uint64_t>(a.sets.size()) * nb_ <=
+               std::max(a.runs.size() + b.runs.size(), kInline)) {
+    if (dense_) counts_.resize(a.sets.size() * nb_, 0);
+  }
+
+  /// Whether the counts live in the dense matrix (else the hashed table).
+  bool dense() const noexcept { return dense_; }
+
+  void add(std::uint32_t ia, std::uint32_t ib, Extent count) {
+    if (dense_) {
+      counts_[ia * nb_ + ib] += count;
+    } else {
+      hashed_.accumulate(std::uint64_t{ia} << 32 | ib) += count;
+    }
+  }
+
+  /// Calls fn(sum, a.sets[ia], b.sets[ib]) once per pair with a nonzero
+  /// sum, in ascending (ia, ib) order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    auto emit = [&](std::size_t ia, std::size_t ib, Extent sum) {
+      fn(sum, a_->sets[ia], b_->sets[ib]);
+    };
+    if (dense_) {
+      std::size_t k = 0;
+      for (std::size_t ia = 0; ia < a_->sets.size(); ++ia) {
+        for (std::size_t ib = 0; ib < nb_; ++ib, ++k) {
+          if (counts_[k] != 0) emit(ia, ib, counts_[k]);
+        }
+      }
+    } else {
+      for (const auto& cell : hashed_.sorted()) {
+        emit(cell.key >> 32, cell.key & 0xffffffffu, cell.payload);
+      }
+    }
+  }
+
+ private:
+  const RunTable* a_;
+  const RunTable* b_;
+  std::size_t nb_;
+  bool dense_;
+  SmallVector<Extent, kInline> counts_;
+  StepAccumTable<std::uint64_t, Extent> hashed_;
+};
+
+/// Walks two tables (for_each_common_segment_ids) and calls
+/// fn(count, owners_a, owners_b) once per distinct owner-set pair with the
+/// pair's summed element count, in ascending id order (SetPairCounts) —
+/// O(distinct pairs) calls, not O(segments).
+template <typename Fn>
+void for_each_set_pair(const RunTable& a, const RunTable& b, Fn&& fn) {
+  SetPairCounts counts(a, b);
+  for_each_common_segment_ids(
+      a, b, [&](Extent, Extent count, std::uint32_t ia, std::uint32_t ib) {
+        counts.add(ia, ib, count);
+      });
+  counts.for_each(fn);
 }
 
 }  // namespace hpfnt

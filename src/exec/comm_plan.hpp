@@ -8,10 +8,10 @@
 // captures one step's schedule at the granularity the machine prices it:
 // the per-(src, dst) flows of each phase, one compute row per processor,
 // the local-read tally, a per-processor memory summary for remaps, and the
-// sealed StepStats end_step derived from them. The exec layer may charge a
-// step one constant-owner segment at a time, but the plan keeps only what
-// the StepPricer accumulated — at most P(P-1) flows per phase, whatever
-// the segment count. CommEngine::replay(plan) re-issues the step from the
+// sealed StepStats end_step derived from them. The exec layer charges a
+// step once per distinct owner-set pair, and the plan keeps only what the
+// StepPricer accumulated — at most P(P-1) flows per phase, whatever the
+// segment count. CommEngine::replay(plan) re-issues the step from the
 // sealed statistics alone — byte-identical StepStats and cumulative
 // counters, zero ownership queries, no common-segment walk.
 //
@@ -84,7 +84,7 @@ struct PlanCompute {
 /// per (src, dst) pair, per processor. Built by pricing a step cold with
 /// CommEngine::record_into armed and sealed by end_step from the engine's
 /// StepPricer tables, so recording costs O(pairs + P), whatever the number
-/// of constant-owner segments the walk charged. Re-issued by
+/// of constant-owner segments the walk visited. Re-issued by
 /// CommEngine::replay. The rows re-price to exactly the sealed stats
 /// (end_step's statistics are a pure function of them), which the
 /// CommPlan tests assert.

@@ -24,6 +24,7 @@
 // CommEngine satisfies it directly.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -38,22 +39,29 @@
 namespace hpfnt {
 
 /// The owner-computes charge stream of one assignment step (pass 2 of
-/// exec/assign.cpp): per common constant-owner segment of the LHS and each
-/// operand, the computing (canonical minimum) LHS owner reads locally or
-/// receives one block transfer; leaves flagged `posted` charge inside a
-/// posted phase (halo exchange overlapped with compute); finally each LHS
-/// run charges its compute and broadcasts to replicas beyond the computing
-/// owner. `leaf_bytes[l]` is operand l's element size, `elem_bytes` the
-/// LHS's, `flops` the per-element cost of the RHS.
+/// exec/assign.cpp): per distinct (LHS owner set, operand owner set) pair
+/// of the LHS and each operand, with the element count summed over the
+/// common segments the pair covers (for_each_set_pair), the computing
+/// (canonical minimum) LHS owner reads locally or receives one block
+/// transfer; leaves flagged `posted` charge inside a posted phase (halo
+/// exchange overlapped with compute); finally each LHS owner set charges
+/// its compute and broadcasts to replicas beyond the computing owner, once
+/// per set with the set's summed count. The engine only adds integers per
+/// pair, per processor and into its local reads, so the summed charges
+/// price exactly as per-segment ones would. `leaf_bytes[l]` is operand l's
+/// element size, `elem_bytes` the LHS's, `flops` the per-element cost of
+/// the RHS.
 template <class Engine>
 void charge_assign_step(const LayoutView& lhs_view,
                         const std::vector<LayoutView>& leaf_views,
                         const std::vector<Extent>& leaf_bytes,
                         const std::vector<char>& posted, Extent elem_bytes,
                         Extent flops, Engine& engine) {
-  // The computing processor of a segment is the canonical (minimum) LHS
-  // owner; operand segments it does not own arrive as one transfer each,
-  // carrying the element count.
+  const RunTable& lhs = lhs_view.table();
+  const SmallVector<Extent, 256> lhs_counts = set_counts(lhs);
+  // The computing processor of a pair is the canonical (minimum) LHS
+  // owner; operand elements it does not own arrive as one transfer,
+  // carrying the pair's element count.
   auto charge_reads = [&](Extent count, const OwnerSet& lhs_owners,
                           const OwnerSet& leaf_owners, Extent bytes) {
     const ApId p = min_owner(lhs_owners);
@@ -74,30 +82,33 @@ void charge_assign_step(const LayoutView& lhs_view,
         throw InternalError("nonconforming operand run table in assignment");
       }
       const OwnerSet& leaf_owners = leaf_view.owners(leaf_view.runs().front());
-      for (const OwnerRun& r : lhs_view.runs()) {
-        charge_reads(r.count, lhs_view.owners(r), leaf_owners, bytes);
+      for (std::size_t i = 0; i < lhs_counts.size(); ++i) {
+        if (lhs_counts[i] != 0) {
+          charge_reads(lhs_counts[i], lhs.sets[i], leaf_owners, bytes);
+        }
       }
       continue;
     }
-    // A covered leaf's remote segments are all halo transfers (the
+    // A covered leaf's remote pairs are all halo transfers (the
     // plan==measure property of plan_shift): charge them in the posted
     // phase so they overlap the compute and record as boundary transfers.
     if (posted[l]) engine.begin_posted();
-    for_each_common_segment(
-        lhs_view.table(), leaf_view.table(),
-        [&](Extent, Extent count, const OwnerSet& lhs_owners,
-            const OwnerSet& leaf_owners) {
-          charge_reads(count, lhs_owners, leaf_owners, bytes);
-        });
+    for_each_set_pair(lhs, leaf_view.table(),
+                      [&](Extent count, const OwnerSet& lhs_owners,
+                          const OwnerSet& leaf_owners) {
+                        charge_reads(count, lhs_owners, leaf_owners, bytes);
+                      });
     if (posted[l]) engine.end_posted();
   }
-  for (const OwnerRun& r : lhs_view.runs()) {
-    const OwnerSet& owners = lhs_view.owners(r);
+  for (std::size_t i = 0; i < lhs_counts.size(); ++i) {
+    const Extent count = lhs_counts[i];
+    if (count == 0) continue;
+    const OwnerSet& owners = lhs.sets[i];
     const ApId p = min_owner(owners);
-    if (flops > 0) engine.compute(p, flops * r.count);
-    // Replicas beyond the computing owner receive the run by message.
+    if (flops > 0) engine.compute(p, flops * count);
+    // Replicas beyond the computing owner receive the set's elements.
     for (ApId q : owners) {
-      if (q != p) engine.transfer_block(p, q, elem_bytes, r.count);
+      if (q != p) engine.transfer_block(p, q, elem_bytes, count);
     }
   }
 }
@@ -149,7 +160,7 @@ std::vector<char> schedule_assign(const Distribution& lhs_dist,
   }
 
   // All sections conform, so one linear position space [0, size) indexes
-  // every run table; communication is decided per constant-owner segment.
+  // every run table; communication is decided per owner-set pair.
   auto charge = [&](auto& engine) -> Extent {
     const LayoutView lhs_view(lhs_dist, lhs_section);
     std::vector<LayoutView> leaf_views;
@@ -177,36 +188,34 @@ inline std::string remap_step_label(const RemapEvent& event,
 }
 
 /// The charge stream of one remap step (ProgramState::apply_remap): per
-/// common constant-owner segment of the old and new whole-domain layouts,
-/// every new owner lacking the value receives it from the canonical
-/// (minimum) old owner. Elements that stay with an owner are not charged,
-/// not even as local reads: a remap moves data and reads no operand, unlike
-/// assign and copy_section, which count one local read per element their
-/// reader already holds. `on_replica_delta(p, delta)` reports the replica
-/// appearances (+bytes) and disappearances (-bytes) in charge order — the
-/// executor folds them per processor (MemoryDeltaFold) into memory
-/// accounting and the recorded plan's mem_ops; the cost model passes a
-/// no-op (StepStats carries no memory).
+/// distinct (old owner set, new owner set) pair of the old and new
+/// whole-domain layouts, with the element count summed over the common
+/// segments the pair covers, every new owner lacking the value receives it
+/// from the canonical (minimum) old owner. Elements that stay with an
+/// owner are not charged, not even as local reads: a remap moves data and
+/// reads no operand, unlike assign and copy_section, which count one local
+/// read per element their reader already holds. `on_replica_delta(p,
+/// delta)` reports the replica appearances (+bytes) and disappearances
+/// (-bytes) per common segment, in position order — the executor folds
+/// them per processor (MemoryDeltaFold, whose prefix rise depends on that
+/// order) into memory accounting and the recorded plan's mem_ops; the cost
+/// model passes a no-op (StepStats carries no memory).
 template <class Engine, class ReplicaFn>
 void charge_remap_step(const Distribution& from, const Distribution& to,
                        Extent elem_bytes, Engine& engine,
                        ReplicaFn&& on_replica_delta) {
   const LayoutView from_view = LayoutView::whole(from);
   const LayoutView to_view = LayoutView::whole(to);
-  for_each_common_segment(
-      from_view.table(), to_view.table(),
-      [&](Extent, Extent count, const OwnerSet& old_owners,
-          const OwnerSet& new_owners) {
-        // The sending replica is the canonical (minimum) owner, the
-        // convention of Distribution::first_owner and the assignment
-        // executor; owner sets are not sorted in general.
-        const ApId src = min_owner(old_owners);
-        for (ApId q : new_owners) {
-          if (!owner_set_contains(old_owners, q)) {
-            engine.transfer_block(src, q, elem_bytes, count);
-          }
-        }
+  const RunTable& old_table = from_view.table();
+  const RunTable& new_table = to_view.table();
+  SetPairCounts counts(old_table, new_table);
+  for_each_common_segment_ids(
+      old_table, new_table,
+      [&](Extent, Extent count, std::uint32_t io, std::uint32_t in) {
+        counts.add(io, in, count);
         // Memory accounting: replicas appear/disappear with the owner sets.
+        const OwnerSet& old_owners = old_table.sets[io];
+        const OwnerSet& new_owners = new_table.sets[in];
         for (ApId q : new_owners) {
           if (!owner_set_contains(old_owners, q)) {
             on_replica_delta(q, elem_bytes * count);
@@ -218,20 +227,33 @@ void charge_remap_step(const Distribution& from, const Distribution& to,
           }
         }
       });
+  counts.for_each([&](Extent count, const OwnerSet& old_owners,
+                      const OwnerSet& new_owners) {
+    // The sending replica is the canonical (minimum) owner, the convention
+    // of Distribution::first_owner and the assignment executor; owner sets
+    // are not sorted in general.
+    const ApId src = min_owner(old_owners);
+    for (ApId q : new_owners) {
+      if (!owner_set_contains(old_owners, q)) {
+        engine.transfer_block(src, q, elem_bytes, count);
+      }
+    }
+  });
 }
 
 /// The charge stream of one section-copy step (ProgramState::copy_section,
-/// the procedure argument path): per common segment of the two sections'
-/// run tables, destination owners that do not already hold the value
+/// the procedure argument path): per distinct (destination set, source
+/// set) pair of the two sections' run tables, with the pair's summed
+/// element count, destination owners that do not already hold the value
 /// receive it from the sources' canonical (minimum) replica; owners that
 /// do hold it are counted as local reads, keeping the read statistics
 /// symmetric with assign.
 template <class Engine>
 void charge_copy_step(const LayoutView& dst_view, const LayoutView& src_view,
                       Extent elem_bytes, Engine& engine) {
-  for_each_common_segment(
+  for_each_set_pair(
       dst_view.table(), src_view.table(),
-      [&](Extent, Extent count, const OwnerSet& dst_owners,
+      [&](Extent count, const OwnerSet& dst_owners,
           const OwnerSet& src_owners) {
         const ApId sender = min_owner(src_owners);
         for (ApId q : dst_owners) {

@@ -354,10 +354,10 @@ StepStats ProgramState::apply_remap(const RemapEvent& event,
   if (cacheable) comm_.record_into(rec);
   // Walk the two layouts' run tables in lock step: every common segment has
   // constant owner sets on both sides, so each (mover, destination) pair is
-  // priced once per segment with the element count. The walk itself is the
-  // shared charge_remap_step (exec/pricing.hpp); only the memory
-  // accounting — replicas appearing on new owners, disappearing from old —
-  // is the executor's to fold in.
+  // priced once per distinct owner-set pair with the summed element count.
+  // The walk itself is the shared charge_remap_step (exec/pricing.hpp);
+  // only the memory accounting — replicas appearing on new owners,
+  // disappearing from old, folded per segment — is the executor's.
   charge_remap_step(event.from, event.to, s.elem_bytes, comm_,
                     [&](ApId p, Extent delta) { fold.add(p, delta); });
   std::vector<MemoryDelta> mem_ops = fold.ops();
@@ -421,11 +421,11 @@ StepStats ProgramState::copy_section(const DistArray& dst,
     StepGuard guard(comm_);
     auto rec = std::make_shared<CommPlan>();
     if (cacheable) comm_.record_into(rec);
-    // Charge per common constant-owner segment of the two sections' run
-    // tables (the shared charge_copy_step, exec/pricing.hpp): destination
-    // owners that do not already hold the value receive the whole segment
-    // from the sources' canonical (minimum) replica; owners that do hold it
-    // read it locally — the statistics assign keeps.
+    // Charge per distinct owner-set pair of the two sections' run tables
+    // (the shared charge_copy_step, exec/pricing.hpp): destination owners
+    // that do not already hold the value receive the pair's summed
+    // elements from the sources' canonical (minimum) replica; owners that
+    // do hold them read them locally — the statistics assign keeps.
     const LayoutView dst_view(d.dist, dst_section);
     const LayoutView src_view(s.dist, src_section);
     charge_copy_step(dst_view, src_view, d.elem_bytes, comm_);

@@ -12,9 +12,10 @@
 // through the CommEngine inside an open step, so every mapping decision has
 // a measurable message/byte/time consequence. Ownership is decided in bulk:
 // data-movement steps walk the layouts' constant-owner run tables
-// (core/layout_view.hpp) and price one transfer_block per segment, and the
-// priced schedules are memoized (exec/comm_plan.hpp) so repeating a step
-// over unchanged layouts replays the plan instead of re-walking anything.
+// (core/layout_view.hpp) and price one transfer_block per owner-set pair
+// and receiver (exec/pricing.hpp), and the priced schedules are memoized
+// (exec/comm_plan.hpp) so repeating a step over unchanged layouts replays
+// the plan instead of re-walking anything.
 #pragma once
 
 #include <functional>
@@ -148,8 +149,8 @@ class ProgramState {
   // --- data movement steps (priced per constant-owner run) ----------------
 
   /// Executes a remap event: moves every element from its old owners to its
-  /// new owners (one transfer_block per constant-owner segment and new
-  /// owner that lacked it), updates the layout and the memory accounting.
+  /// new owners (one transfer_block per owner-set pair and new owner that
+  /// lacked it), updates the layout and the memory accounting.
   /// One comm step.
   StepStats apply_remap(const RemapEvent& event, const DistArray& array);
 

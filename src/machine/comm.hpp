@@ -108,7 +108,8 @@ class CommEngine {
   void transfer(ApId src, ApId dst, Extent bytes);
 
   /// A run of `count` equal-sized element payloads from src to dst — the
-  /// priced form of one constant-owner segment (core/layout_view.hpp).
+  /// priced form of every segment one owner-set pair covers
+  /// (exec/pricing.hpp).
   /// Exactly equivalent to calling transfer(src, dst, elem_bytes) `count`
   /// times, in one call.
   void transfer_block(ApId src, ApId dst, Extent elem_bytes, Extent count);

@@ -1,12 +1,14 @@
 // Flat open-addressed accumulators for CommEngine's per-step tallies.
 //
 // During a step the engine is asked to accumulate into the (src, dst) pair
-// once per constant-owner segment (exec charges one transfer_block per
-// segment), so the accumulator is on the cold-pricing hot path: a
-// std::map pays an O(log P) node walk plus an allocation per new pair.
-// These tables are insert-only within a step, cleared (capacity kept) at
-// begin_step, and probed with linear open addressing — O(1) amortized, no
-// per-step allocations once warm.
+// once per distinct owner-set pair of each charge walk (exec/pricing.hpp
+// sums segment counts per pooled set id first), so the accumulator sees
+// O(pairs) calls per walk; a std::map would still pay an O(log P) node
+// walk plus an allocation per new pair. These tables are insert-only
+// within a step, cleared (capacity kept) at begin_step, and probed with
+// linear open addressing — O(1) amortized, no per-step allocations once
+// warm. The charge walks' own hashed pair counts
+// (core/layout_view.hpp SetPairCounts) use the same table.
 //
 // end_step needs the entries in sorted key order (its floating-point
 // per-processor time accumulation must stay byte-identical to the old
@@ -36,6 +38,8 @@ inline std::uint64_t mix64(std::uint64_t x) {
 inline std::uint64_t hash_key(ApId p) {
   return mix64(static_cast<std::uint64_t>(p));
 }
+
+inline std::uint64_t hash_key(std::uint64_t key) { return mix64(key); }
 
 inline std::uint64_t hash_key(const std::pair<ApId, ApId>& pair) {
   return mix64(static_cast<std::uint64_t>(pair.first) *

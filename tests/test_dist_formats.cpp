@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "support/error.hpp"
 
 namespace hpfnt {
@@ -157,6 +159,17 @@ TEST(GeneralBlockFormat, FromSizes) {
   EXPECT_EQ(m.local_count(2), 6);
   EXPECT_EQ(m.local_count(3), 5);
   EXPECT_EQ(m.local_count(4), 6);
+}
+
+TEST(GeneralBlockFormat, FromSizesRejectsAnOverflowingSum) {
+  // Two sizes near INT64_MAX: their running sum leaves Extent's range.
+  const Extent huge = std::numeric_limits<Extent>::max() - 1;
+  EXPECT_THROW(DistFormat::general_block_sizes({huge, huge}),
+               ConformanceError);
+  EXPECT_THROW(DistFormat::general_block_sizes({1, huge, 2}),
+               ConformanceError);
+  // The largest representable sum is still accepted.
+  EXPECT_NO_THROW(DistFormat::general_block_sizes({huge, 1}));
 }
 
 // ---------------------------------------------------------------------------
