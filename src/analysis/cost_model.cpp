@@ -75,27 +75,48 @@ class CostModel : public WalkVisitor {
 
   // --- pricing, through the shared executor code ---------------------------
 
-  /// Finishes one priced statement: seals the predicted StepStats from the
-  /// pricer (the executor's end_step arithmetic), interns the plan key,
-  /// resolves replays, accumulates totals exactly as CommEngine's
-  /// cumulative counters do, and emits the HX diagnostics.
-  void seal(StatementCost stmt, const StepPricer& pricer) {
-    PhaseBreakdown phases;
-    stmt.stats = pricer.price(stmt.label, &phases);
-    stmt.phases = phases;
-    stmt.local_reads = pricer.local_reads();
-    stmt.traffic = pricer.traffic();
-
-    auto [it, inserted] = key_ids_.try_emplace(
-        stmt.plan_key,
-        std::pair<int, int>{static_cast<int>(key_ids_.size()) + 1,
-                            static_cast<int>(report_.statements.size())});
-    stmt.key_id = it->second.first;
-    if (!inserted) {
+  /// Interns the statement's plan key and prices it. The first statement
+  /// with a key runs `charge` into a fresh StepPricer and seals the
+  /// predicted StepStats from it (the executor's end_step arithmetic). A
+  /// repeat runs nothing: same content key, same plan — the premise the
+  /// PlanCache replays on — so it copies the first statement's numbers,
+  /// relabelled to this statement, as the executor's replay does.
+  template <class Charge>
+  void price(StatementCost& stmt, Charge&& charge) {
+    auto it = key_ids_.lower_bound(stmt.plan_key);
+    if (it != key_ids_.end() && it->first == stmt.plan_key) {
+      stmt.key_id = it->second.first;
       stmt.replay_of = it->second.second;
       ++report_.plan_replays;
+      const StatementCost& first =
+          report_.statements[static_cast<std::size_t>(stmt.replay_of)];
+      stmt.stats = first.stats;
+      stmt.stats.label = stmt.label;
+      stmt.phases = first.phases;
+      stmt.local_reads = first.local_reads;
+      stmt.traffic = first.traffic;
+      return;
     }
+    StepPricer pricer(machine_->cost());
+    PricerSink sink{&pricer};
+    charge(sink);
+    stmt.stats = pricer.price(stmt.label, &stmt.phases);
+    stmt.local_reads = pricer.local_reads();
+    stmt.traffic = pricer.traffic();
+    // Interned only once charged, so a statement the walk abandons
+    // mid-charge leaves no key behind; the statement is sealed next, at
+    // this index.
+    stmt.key_id = static_cast<int>(key_ids_.size()) + 1;
+    key_ids_.emplace_hint(
+        it, stmt.plan_key,
+        std::pair<int, int>{stmt.key_id,
+                            static_cast<int>(report_.statements.size())});
+  }
 
+  /// Finishes one priced statement: accumulates totals exactly as
+  /// CommEngine's cumulative counters do (in statement order, so the
+  /// double sums match), and emits the HX diagnostics.
+  void seal(StatementCost stmt) {
     CostTotals& t = report_.totals;
     t.messages += stmt.stats.messages;
     t.bytes += stmt.stats.bytes;
@@ -152,8 +173,6 @@ class CostModel : public WalkVisitor {
     stmt.label = node.array_assign->name;  // the step label assign is given
     stmt.text = render_section(stmt.label, bound.section) + " = <expr>";
 
-    StepPricer pricer(machine_->cost());
-    PricerSink sink{&pricer};
     stmt.posted_leaves = schedule_assign(
         env.distribution_of(*bound.lhs), bound.section,
         bound.rhs.program().leaves(), elem_bytes(bound.lhs->type()),
@@ -164,9 +183,9 @@ class CostModel : public WalkVisitor {
         },
         [&](std::string& key, auto& charge) {
           stmt.plan_key = std::move(key);
-          charge(sink);
+          price(stmt, charge);
         });
-    seal(std::move(stmt), pricer);
+    seal(std::move(stmt));
   }
 
   /// One remap event, priced exactly as ProgramState::apply_remap prices
@@ -185,10 +204,11 @@ class CostModel : public WalkVisitor {
     const Extent bytes = elem_bytes(array.type());
     stmt.plan_key = remap_plan_key(event.from, event.to, bytes);
 
-    StepPricer pricer(machine_->cost());
-    PricerSink sink{&pricer};
-    charge_remap_step(event.from, event.to, bytes, sink, [](ApId, Extent) {});
-    seal(std::move(stmt), pricer);
+    price(stmt, [&](PricerSink& sink) {
+      charge_remap_step(event.from, event.to, bytes, sink,
+                        [](ApId, Extent) {});
+    });
+    seal(std::move(stmt));
   }
 
   const Machine* machine_;

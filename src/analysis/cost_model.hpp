@@ -22,15 +22,27 @@
 // one deterministic order) the StepStats the interpreter's execution of
 // the same script seals, and a predicted plan key is the executor's cache
 // key, so predicted plan reuse is the PlanCache's observed hit pattern.
-// tests/test_cost_model.cpp checks both, statement for statement, over the
-// example corpus.
+//
+// Like the executor, the model prices each plan key once. A statement
+// whose key repeats an earlier one (an HX002 statement) runs no charge
+// walk and builds no run table: its stats (relabelled to it), phases,
+// local reads and traffic are the first statement's with that key — the
+// premise the PlanCache replays on (same content key, same plan). Totals
+// still add every statement in order, so they stay the engine's exact
+// cumulative counters.
+//
+// tests/test_cost_model.cpp checks all of this, statement for statement,
+// over the example corpus: against execution with the plan cache, and
+// against execution with it switched off (every step priced cold, repeats
+// included).
 //
 // Diagnostics (hpflint --cost surfaces them; see docs/analysis.md):
 //
 //   HX001   note   statement's predicted communication, quantified: bytes,
 //                  messages, exposed time, and the dominant (src,dst) pair
 //   HX002   note   statement's plan key repeats an earlier statement's —
-//                  the executor will replay that plan, not re-price it
+//                  the executor will replay that plan, not re-price it,
+//                  and the statement's numbers are that statement's
 #pragma once
 
 #include <string>
@@ -63,7 +75,9 @@ struct StatementCost {
   /// The executor's content cache key (raw signature bytes — render
   /// key_id, not this) and its interning: key_id is 1-based in order of
   /// first appearance; replay_of is the index of the first statement with
-  /// the same key, or -1 when this statement prices its plan cold.
+  /// the same key, or -1 when this statement prices its plan cold. A
+  /// statement with replay_of >= 0 copies that statement's stats (under
+  /// its own label), phases, local_reads and traffic.
   std::string plan_key;
   int key_id = 0;
   int replay_of = -1;

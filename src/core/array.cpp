@@ -1,9 +1,31 @@
 #include "core/array.hpp"
 
+#include <algorithm>
+
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
 namespace hpfnt {
+
+namespace {
+
+// A halo reaches at most into a neighbour's whole dimension; a wider one
+// names elements that do not exist.
+void check_shadow_fits(const std::string& name,
+                       const std::vector<ShadowWidth>& widths,
+                       const IndexDomain& domain) {
+  for (std::size_t d = 0; d < widths.size(); ++d) {
+    const Extent extent = domain.extent(static_cast<int>(d));
+    const Extent width = std::max(widths[d].left, widths[d].right);
+    if (width > extent) {
+      throw ConformanceError(cat("SHADOW width ", width, " of dimension ",
+                                 d + 1, " of '", name, "' exceeds its extent ",
+                                 extent));
+    }
+  }
+}
+
+}  // namespace
 
 Extent elem_bytes(ElemType type) {
   switch (type) {
@@ -72,6 +94,7 @@ void DistArray::create(IndexDomain domain) {
                                " differs from declared rank ", rank_, " of '",
                                name_, "'"));
   }
+  check_shadow_fits(name_, shadow_, domain);
   domain_ = std::move(domain);
   created_ = true;
 }
@@ -103,6 +126,8 @@ void DistArray::set_shadow(std::vector<ShadowWidth> widths) {
                              name_ + "'");
     }
   }
+  // An unallocated allocatable has no extents yet: ALLOCATE checks them.
+  if (created_) check_shadow_fits(name_, widths, domain_);
   shadow_ = std::move(widths);
 }
 

@@ -75,9 +75,10 @@ class DistArray {
   const std::vector<ShadowWidth>& shadow() const noexcept { return shadow_; }
   bool has_shadow() const noexcept;
 
-  /// Declares the shadow widths (one per dimension, all >= 0). Storage
-  /// layers materialize the ghost cells when the array's storage is
-  /// (re)created.
+  /// Declares the shadow widths (one per dimension, all >= 0, none wider
+  /// than its dimension's extent — checked here for a created array, at
+  /// ALLOCATE for an allocatable). Storage layers materialize the ghost
+  /// cells when the array's storage is (re)created.
   void set_shadow(std::vector<ShadowWidth> widths);
 
   Extent size() const { return domain().size(); }

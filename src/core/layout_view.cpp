@@ -329,13 +329,23 @@ LayoutView::LayoutView(Distribution dist, std::vector<Triplet> section)
     table_ = std::static_pointer_cast<const RunTable>(hit);
     return;
   }
-  // The memoized path also shares the payload's per-dimension segment
-  // lists across sections (DimMapping::segment_list). The section was
-  // validated above.
-  RunTable computed;
-  computed.section_domain = dist_.domain().section_domain(section_);
-  build_runs(dist_, section_, computed, /*use_dim_memo=*/true);
-  auto table = std::make_shared<RunTable>(std::move(computed));
+  std::shared_ptr<const RunTable> table;
+  if (dist_.kind() == Distribution::Kind::kConstructed &&
+      dist_.alignment().is_identity()) {
+    // CONSTRUCT(id, δ_B) = δ_B (Definition 4): every element has exactly
+    // its base's owners, over the same domain, so the alignee holds the
+    // base's table for this section, built or fetched through the base's
+    // own memo.
+    table = LayoutView(dist_.base(), section_).table_;
+  } else {
+    // The memoized path also shares the payload's per-dimension segment
+    // lists across sections (DimMapping::segment_list). The section was
+    // validated above.
+    RunTable computed;
+    computed.section_domain = dist_.domain().section_domain(section_);
+    build_runs(dist_, section_, computed, /*use_dim_memo=*/true);
+    table = std::make_shared<RunTable>(std::move(computed));
+  }
   // Arming the owners() shim with a whole-domain table only pays off when
   // the payload's own per-element query is dearer than a binary search —
   // kExplicit already answers in O(1) from its owner table, and its run

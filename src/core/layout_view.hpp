@@ -30,7 +30,10 @@
 //     row,
 //   * by composition through the alignment function α for kConstructed
 //     (linear α maps a segment of the base's runs back onto the alignee;
-//     clamped ends form their own constant runs),
+//     clamped ends form their own constant runs) — except that an identity
+//     α (ALIGN W(I) WITH U(I): CONSTRUCT(id, δ_U) = δ_U) builds nothing:
+//     W's view holds the very RunTable object U's view of the same section
+//     holds, fetched through U's memo,
 //   * by triplet composition (restriction) for kSectionView, and
 //   * by run-length scanning of the owner table for kExplicit,
 // and are memoized per Distribution payload keyed by the section
@@ -73,6 +76,8 @@ static_assert(sizeof(OwnerRun) <= 24, "runs stay slim records");
 /// and adjacent runs of one row never share an id. `ownership_queries` is
 /// the number of per-element payload probes spent building the table — the
 /// figure the E1 run-based benchmark compares against a per-element sweep.
+/// A table shared by several views (an identity-aligned array and its
+/// base) was built once, so each view reports that one build's count.
 struct RunTable {
   IndexDomain section_domain;
   std::vector<OwnerRun> runs;
@@ -117,7 +122,10 @@ class LayoutView {
   }
   Extent size() const noexcept { return table_->section_domain.size(); }
 
-  /// Per-element probes spent building the (possibly shared) table.
+  /// Per-element probes spent building the table — once, by whichever
+  /// view built it: a memo hit, or an identity-aligned array's view of its
+  /// base's table, reports the count of that one build, not probes of its
+  /// own.
   Extent ownership_queries() const noexcept {
     return table_->ownership_queries;
   }

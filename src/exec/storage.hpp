@@ -38,8 +38,13 @@ class PlanService;  // service/plan_service.hpp: the shared L2 plan cache
 /// Reusable scratch buffers for the evaluation engine: `staged` holds one
 /// statement's RHS snapshot (assign / copy_section), `regs` the register
 /// file of SecProgram's strided kernels. Owned by the ProgramState so a
-/// warm sweep allocates nothing after its first statement; capacity only
-/// grows. Statements do not nest, so one arena per state suffices.
+/// warm sweep reuses these two buffers after its first statement: their
+/// capacity only grows, and they are never reallocated for a statement no
+/// larger than one seen before. The rest of a warm statement still
+/// allocates (its plan key, the leaf vector and a few small temporaries,
+/// 15 allocations per warm assign), so the arena bounds the numerics'
+/// scratch, not the statement's heap traffic. Statements do not nest, so
+/// one arena per state suffices.
 struct ScratchArena {
   std::vector<double> staged;
   std::vector<double> regs;

@@ -176,6 +176,25 @@ check("cyclic_wrap --cost: line 3 is not priced" has_zero_totals GREATER -1)
 string(FIND "${out}" "plans: 0 priced" has_no_plans)
 check("cyclic_wrap --cost: no plan priced" has_no_plans GREATER -1)
 
+# A SHADOW width larger than its dimension's extent names elements that do
+# not exist; it is refused at the SHADOW line in every mode (before the
+# check, both scripts exited 0 everywhere, the int64-maximum width too).
+file(WRITE "${WORK_DIR}/shadow_max.hpf"
+  "REAL A(10)\n!HPF$ DISTRIBUTE A(BLOCK)\n!HPF$ SHADOW A(9223372036854775807:9223372036854775807)\nA(2:9) = A(1:8) + A(3:10)\n")
+file(WRITE "${WORK_DIR}/shadow_wide.hpf"
+  "REAL A(10)\n!HPF$ DISTRIBUTE A(BLOCK)\n!HPF$ SHADOW A(11:11)\nA(2:9) = A(1:8) + A(3:10)\n")
+set(shadow_max_msg "SHADOW width 9223372036854775807 of dimension 1 of 'A' exceeds its extent 10")
+set(shadow_wide_msg "SHADOW width 11 of dimension 1 of 'A' exceeds its extent 10")
+foreach(case IN ITEMS shadow_max shadow_wide)
+  foreach(mode IN ITEMS "" --cost --exec)
+    run_hpflint(1 ${mode} "${WORK_DIR}/${case}.hpf")
+    string(FIND "${out}" "${case}.hpf:3:1: error: [HL003] ${${case}_msg}" has_line)
+    check("${case} ${mode}: located error at line 3" has_line GREATER -1)
+  endforeach()
+  string(FIND "${err}" "error at 3:1: ${${case}_msg}" has_exec_line)
+  check("${case}: execution error reports line 3" has_exec_line GREATER -1)
+endforeach()
+
 # --- --json line schema -----------------------------------------------------
 run_hpflint(0 --json "${SCRIPTS}/bad_undershadow.hpf")
 string(REGEX REPLACE "\n$" "" json_out "${out}")

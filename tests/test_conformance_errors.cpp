@@ -4,6 +4,8 @@
 // reference they carry.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/construct.hpp"
 #include "core/data_env.hpp"
 #include "directives/interp.hpp"
@@ -204,6 +206,35 @@ TEST_F(ConformanceTest, DirectiveErrorsArePositioned) {
     EXPECT_EQ(e.line(), 2);
     EXPECT_GT(e.column(), 1);
   }
+}
+
+// A shadow wider than its dimension names elements that do not exist: it
+// is refused where the widths meet the extents — at SHADOW for a created
+// array, at ALLOCATE for an allocatable — and the message is located.
+TEST_F(ConformanceTest, ShadowWiderThanItsExtentRejected) {
+  DistArray& a = env_.real("A", IndexDomain{Dim(1, 10), Dim(1, 4)});
+  EXPECT_THROW(a.set_shadow({{0, 11}, {0, 0}}), ConformanceError);
+  EXPECT_THROW(a.set_shadow({{0, 0}, {5, 0}}), ConformanceError);
+  EXPECT_THROW(a.set_shadow({{INT64_MAX, INT64_MAX}, {0, 0}}),
+               ConformanceError);
+  EXPECT_FALSE(a.has_shadow());  // a refused declaration leaves none
+  EXPECT_NO_THROW(a.set_shadow({{10, 10}, {4, 4}}));  // the extent is legal
+
+  dir::Interpreter in(ps_);
+  in.run(
+      "REAL,ALLOCATABLE(:) :: B\n"
+      "!HPF$ SHADOW B(3:3)\n");  // no extent yet: accepted here
+  in.run("ALLOCATE(B(3))\n");
+  in.run("DEALLOCATE(B)\n");
+  try {
+    in.run("ALLOCATE(B(2))\n");
+    FAIL() << "expected ConformanceError";
+  } catch (const ConformanceError& e) {
+    EXPECT_EQ(e.line(), 1);
+    EXPECT_EQ(e.message(),
+              "SHADOW width 3 of dimension 1 of 'B' exceeds its extent 2");
+  }
+  EXPECT_FALSE(in.env().find("B").is_created());
 }
 
 TEST_F(ConformanceTest, MixedDummyLocalDeclarationRejected) {

@@ -218,6 +218,139 @@ TEST(CostModelDifferential, OverlapOffMatchesExecutionWithOverlapOff) {
   }
 }
 
+// --- the cache-off oracle -------------------------------------------------
+//
+// hpfcost prices each plan key once: a repeated key copies the numbers of
+// the first statement with that key, exactly as the executor replays its
+// cached plan. The differential above runs the executor WITH its plan
+// cache, so a wrong copy and a wrong replay could agree. Here the executor
+// runs with the L1 plan cache switched off and no PlanService: every step
+// is priced cold, and every predicted statement — repeats included — must
+// equal its own cold step.
+
+/// Repeat-heavy over an identity ALIGN: W follows U through two
+/// REDISTRIBUTEs (each emits one remap per array, under one key), the
+/// U <-> W sweeps repeat one key per mapping of U, and V reads a column of
+/// U and of W under one key.
+const char* const kAlignedRepeats =
+    "REAL U(48,48)\n"
+    "REAL W(48,48)\n"
+    "REAL V(48)\n"
+    "!HPF$ DYNAMIC U\n"
+    "!HPF$ DISTRIBUTE U(BLOCK,BLOCK)\n"
+    "!HPF$ ALIGN W(I,J) WITH U(I,J)\n"
+    "!HPF$ SHADOW U(1:1,1:1)\n"
+    "!HPF$ DISTRIBUTE V(CYCLIC(3))\n"
+    "W(2:47,2:47) = (U(1:46,2:47) + U(3:48,2:47) + U(2:47,1:46) + "
+    "U(2:47,3:48)) / 4\n"
+    "U(2:47,2:47) = (W(1:46,2:47) + W(3:48,2:47) + W(2:47,1:46) + "
+    "W(2:47,3:48)) / 4\n"
+    "W(2:47,2:47) = (U(1:46,2:47) + U(3:48,2:47) + U(2:47,1:46) + "
+    "U(2:47,3:48)) / 4\n"
+    "V(1:48) = U(1:48,5) + 1\n"
+    "V(1:48) = W(1:48,5) + 1\n"
+    "!HPF$ REDISTRIBUTE U(CYCLIC(4),BLOCK)\n"
+    "W(2:47,2:47) = (U(1:46,2:47) + U(3:48,2:47) + U(2:47,1:46) + "
+    "U(2:47,3:48)) / 4\n"
+    "U(2:47,2:47) = (W(1:46,2:47) + W(3:48,2:47) + W(2:47,1:46) + "
+    "W(2:47,3:48)) / 4\n"
+    "V(1:48) = W(1:48,5) + 1\n"
+    "!HPF$ REDISTRIBUTE U(BLOCK,BLOCK)\n"
+    "U(2:47,2:47) = (W(1:46,2:47) + W(3:48,2:47) + W(2:47,1:46) + "
+    "W(2:47,3:48)) / 4\n"
+    "V(1:48) = U(1:48,5) + 1\n"
+    "!HPF$ REDISTRIBUTE U(CYCLIC(4),BLOCK)\n"
+    "V(1:48) = U(1:48,5) + 1\n";
+
+/// The script's lines, each with its newline. The interpreter accepts a
+/// script in pieces, so the oracle feeds one line at a time and sees each
+/// line's steps alone.
+std::vector<std::string> script_lines(const std::string& script) {
+  std::vector<std::string> lines;
+  std::istringstream in(script);
+  for (std::string line; std::getline(in, line);) lines.push_back(line + "\n");
+  return lines;
+}
+
+void expect_prediction_matches_cold_execution(const std::string& script,
+                                              const std::string& name) {
+  Machine machine(32);
+  const CostReport report = analysis::cost_script(machine, script);
+  ASSERT_EQ(report.errors(), 0) << name;
+  ASSERT_EQ(report.unmodeled, 0) << name << ": corpus must be CALL-free";
+
+  // Every step priced cold: no L1 plan cache, and no PlanService attached.
+  ExecSession cold;
+  cold.state.plans().set_enabled(false);
+  // The per-pair flows of each line's steps come from a second session
+  // whose L1 cache is emptied before every line: each line's plans are
+  // recorded cold, in that line. (Steps of one line that share a key — a
+  // REDISTRIBUTE and its identity-aligned follower — share one recording.)
+  ExecSession flows;
+
+  std::size_t next = 0;  // the next predicted statement
+  std::size_t next_assign = 0;
+  for (const std::string& line : script_lines(script)) {
+    const std::size_t first_step = cold.in.steps().size();
+    const Extent reads_before = cold.state.comm().local_reads();
+    cold.in.run(line);
+    flows.state.plans().clear();
+    flows.in.run(line);
+    std::map<std::string, const CommPlan*> recorded;
+    flows.state.plans().for_each(
+        [&](const std::string& key, const CommPlan& plan) {
+          recorded[key] = &plan;
+        });
+
+    Extent predicted_reads = 0;
+    for (std::size_t i = first_step; i < cold.in.steps().size(); ++i) {
+      ASSERT_LT(next, report.statements.size()) << name << ": " << line;
+      const StatementCost& stmt = report.statements[next];
+      const std::string where = name + " statement " + std::to_string(next) +
+                                (stmt.replay_of >= 0 ? " (repeat)" : "");
+      expect_stats_equal(stmt.stats, cold.in.steps()[i], where);
+      auto it = recorded.find(stmt.plan_key);
+      ASSERT_NE(it, recorded.end()) << where << ": no plan recorded";
+      EXPECT_EQ(stmt.traffic, it->second->flows) << where;
+      EXPECT_EQ(stmt.local_reads, it->second->local_reads) << where;
+      if (stmt.kind == StatementCost::Kind::kAssign) {
+        ASSERT_LT(next_assign, cold.in.assigns().size()) << where;
+        EXPECT_EQ(stmt.local_reads,
+                  cold.in.assigns()[next_assign++].result.local_reads)
+            << where;
+      }
+      predicted_reads += stmt.local_reads;
+      ++next;
+    }
+    EXPECT_EQ(cold.state.comm().local_reads() - reads_before, predicted_reads)
+        << name << ": " << line;
+  }
+  EXPECT_EQ(next, report.statements.size()) << name;
+  EXPECT_EQ(next_assign, cold.in.assigns().size()) << name;
+  // The cold session never consulted a plan cache.
+  EXPECT_EQ(cold.state.plans().hits(), 0) << name;
+  EXPECT_EQ(cold.state.plans().misses(), 0) << name;
+}
+
+TEST(CostModelColdOracle, RepeatedKeysPriceAsTheirOwnColdSteps) {
+  for (const char* name : kExampleScripts) {
+    expect_prediction_matches_cold_execution(read_example(name), name);
+  }
+  expect_prediction_matches_cold_execution(kAlignedRepeats, "aligned repeats");
+}
+
+TEST(CostModelColdOracle, AlignedRepeatsScriptRepeatsMostKeys) {
+  Machine machine(32);
+  const CostReport report = analysis::cost_script(machine, kAlignedRepeats);
+  ASSERT_EQ(report.errors(), 0);
+  // 11 assignments + 3 REDISTRIBUTEs of two arrays each; the sweeps take
+  // one key per mapping of U (W keys as U), the column reads one key per
+  // mapping, and each remap direction one key for both arrays.
+  EXPECT_EQ(report.statements.size(), 17u);
+  EXPECT_EQ(report.plans_priced, 6);
+  EXPECT_EQ(report.plan_replays, 11);
+}
+
 // --- plan-reuse analysis --------------------------------------------------
 
 TEST(CostModelPlanReuse, RemapLoopSharesFourPlansAcrossNineStatements) {

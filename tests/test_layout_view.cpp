@@ -12,12 +12,15 @@
 // On top of the properties: the memo cache shares tables between equal
 // sections, the owners() shim answers from a memoized whole-domain table,
 // and the analytic formats need >= 5x fewer ownership queries than a
-// per-element sweep (the E1 acceptance bar) on BLOCK and GENERAL_BLOCK.
+// per-element sweep (the E1 acceptance bar) on BLOCK and GENERAL_BLOCK. An
+// identity-aligned array's views hold its base's tables (one object per
+// section); every other alignment builds its own.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "core/data_env.hpp"
 #include "core/layout_view.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -40,15 +43,26 @@ IndexDomain random_domain(Rng& rng, int rank) {
   return IndexDomain(std::move(dims));
 }
 
-DistFormat random_format(Rng& rng, Extent n, Extent np) {
-  switch (rng.uniform(0, 5)) {
-    case 0:
+// The format kinds format_of_kind builds; random_format draws one of the
+// six by number, so their order is part of the property tests' data.
+enum FormatCase {
+  kBlockCase,
+  kViennaBlockCase,
+  kCyclicCase,
+  kGeneralBlockCase,
+  kIndirectCase,
+  kReplicatedUserCase,
+};
+
+DistFormat format_of_kind(Rng& rng, int kind, Extent n, Extent np) {
+  switch (kind) {
+    case kBlockCase:
       return DistFormat::block();
-    case 1:
+    case kViennaBlockCase:
       return DistFormat::vienna_block();
-    case 2:
+    case kCyclicCase:
       return DistFormat::cyclic(rng.uniform(1, 5));
-    case 3: {
+    case kGeneralBlockCase: {
       std::vector<Extent> bounds;
       Extent prev = 0;
       for (Extent p = 1; p < np; ++p) {
@@ -57,12 +71,12 @@ DistFormat random_format(Rng& rng, Extent n, Extent np) {
       }
       return DistFormat::general_block(std::move(bounds));
     }
-    case 4: {
+    case kIndirectCase: {
       std::vector<Extent> map(static_cast<std::size_t>(n));
       for (auto& owner : map) owner = rng.uniform(1, np);
       return DistFormat::indirect(std::move(map));
     }
-    default:
+    default:  // kReplicatedUserCase
       // Deterministic replicating user-defined format: every fourth index
       // is also stored on position 1.
       return DistFormat::user_defined(
@@ -75,20 +89,28 @@ DistFormat random_format(Rng& rng, Extent n, Extent np) {
   }
 }
 
+DistFormat random_format(Rng& rng, Extent n, Extent np) {
+  return format_of_kind(rng, static_cast<int>(rng.uniform(0, 5)), n, np);
+}
+
 /// A random kFormats distribution over `domain`; arrangement extents are
 /// picked per distributed dimension. The ProcessorSpace must outlive the
 /// distribution, so the caller owns it.
+/// With `kind` >= 0, every dimension is distributed by that format kind.
 Distribution random_formats_dist(Rng& rng, const IndexDomain& domain,
-                                 ProcessorSpace& ps, const std::string& name) {
+                                 ProcessorSpace& ps, const std::string& name,
+                                 int kind = -1) {
   const int rank = domain.rank();
   std::vector<DistFormat> formats;
   std::vector<Extent> extents;
   for (int d = 0; d < rank; ++d) {
-    if (rank > 1 && rng.uniform(0, 3) == 0) {
+    if (kind < 0 && rank > 1 && rng.uniform(0, 3) == 0) {
       formats.push_back(DistFormat::collapsed());
     } else {
       const Extent np = rng.uniform(2, 5);
-      formats.push_back(random_format(rng, domain.extent(d), np));
+      formats.push_back(kind < 0
+                            ? random_format(rng, domain.extent(d), np)
+                            : format_of_kind(rng, kind, domain.extent(d), np));
       extents.push_back(np);
     }
   }
@@ -356,6 +378,129 @@ TEST(LayoutViewMemo, OwnersShimAnswersFromWholeDomainTable) {
     EXPECT_EQ(dist.owners(idx({i})), dist.owners_uncached(idx({i})));
   }
   EXPECT_THROW(dist.owners(idx({98})), MappingError);
+}
+
+// --- identity-aligned arrays share their base's tables ---------------------
+
+/// Every element of every run of `view` has exactly the run's owner set
+/// under the per-element payload query of `dist` (which, for a constructed
+/// payload, goes through α to the base payload and never reads a table).
+void expect_runs_match_sweep(const Distribution& dist, const LayoutView& view) {
+  for (const OwnerRun& run : view.runs()) {
+    for (Extent k = 0; k < run.count; ++k) {
+      ASSERT_EQ(dist.owners_uncached(view.parent_index(run, k)),
+                view.owners(run))
+          << "offset " << k << " of run at linear " << run.begin;
+    }
+  }
+}
+
+// ALIGN W(I,...) WITH U(I,...): CONSTRUCT(id, δ_U) = δ_U, so W's view of a
+// section is U's view of it — one RunTable object, whichever is asked
+// first — and its runs still agree with W's own per-element owners.
+TEST(LayoutViewSharing, IdentityAlignedViewsHoldTheBaseTable) {
+  for (int kind : {kBlockCase, kCyclicCase, kGeneralBlockCase, kIndirectCase,
+                   kReplicatedUserCase}) {
+    for (int rank = 1; rank <= 2; ++rank) {
+      for (std::uint64_t seed = 0; seed < 6; ++seed) {
+        Rng rng(seed * 7727 + static_cast<std::uint64_t>(kind * 10 + rank));
+        ProcessorSpace ps(4096, ScalarPlacement::kReplicated);
+        const IndexDomain domain = random_domain(rng, rank);
+        const Distribution u =
+            random_formats_dist(rng, domain, ps, "P", kind);
+        const Distribution w = Distribution::constructed(
+            AlignmentFunction::identity(domain, domain), u);
+        ASSERT_TRUE(w.alignment().is_identity());
+        const bool alignee_first = seed % 2 == 0;
+        for (const std::vector<Triplet>& section :
+             {domain.dims(), random_section(rng, domain),
+              random_section(rng, domain)}) {
+          const LayoutView first =
+              alignee_first ? LayoutView(w, section) : LayoutView(u, section);
+          const LayoutView second =
+              alignee_first ? LayoutView(u, section) : LayoutView(w, section);
+          EXPECT_EQ(&first.table(), &second.table())
+              << "kind " << kind << " rank " << rank << " seed " << seed;
+          expect_runs_match_sweep(w, LayoutView(w, section));
+        }
+        // W's own memo still arms its owners() shim with the whole table.
+        const LayoutView whole = LayoutView::whole(w);
+        for (const OwnerRun& run : whole.runs()) {
+          const IndexTuple i = whole.parent_index(run, 0);
+          EXPECT_EQ(w.owners(i), w.owners_uncached(i));
+        }
+      }
+    }
+  }
+}
+
+// REDISTRIBUTE U re-derives W from U's new mapping, so W's view reads the
+// new base table, not the one it shared before.
+TEST(LayoutViewSharing, RedistributedBaseGivesTheAlignedArrayItsNewTable) {
+  ProcessorSpace ps(8);
+  DataEnv env(ps);
+  DistArray& u = env.real("U", IndexDomain{Dim(1, 40), Dim(1, 24)});
+  DistArray& w = env.real("W", IndexDomain{Dim(1, 40), Dim(1, 24)});
+  env.dynamic(u);
+  env.distribute(u, {DistFormat::block(), DistFormat::block()});
+  env.align(w, u, AlignSpec::colons(2));
+  const std::vector<Triplet> section{Triplet(3, 38, 1), Triplet(2, 23, 3)};
+  const LayoutView before(env.distribution_of(w), section);
+  EXPECT_EQ(&before.table(),
+            &LayoutView(env.distribution_of(u), section).table());
+
+  env.redistribute(u, {DistFormat::cyclic(3), DistFormat::block()});
+  const LayoutView after(env.distribution_of(w), section);
+  EXPECT_NE(&after.table(), &before.table());
+  EXPECT_EQ(&after.table(),
+            &LayoutView(env.distribution_of(u), section).table());
+  expect_runs_match_sweep(env.distribution_of(w), after);
+}
+
+// Any other α — an offset (clamped at the end), a permutation, a stride —
+// builds the alignee's own table through α, never the base's.
+TEST(LayoutViewSharing, NonIdentityAlignmentsBuildTheirOwnTables) {
+  using BaseDim = AlignmentFunction::BaseDim;
+  auto expr_dim = [](int alignee_dim, Index1 a, Index1 b) {
+    BaseDim d;
+    d.kind = BaseDim::Kind::kExpr;
+    d.alignee_dim = alignee_dim;
+    d.expr = AlignExpr::dummy(alignee_dim) * a + b;
+    return d;
+  };
+  ProcessorSpace ps(16);
+  ps.declare("Q", IndexDomain::of_extents({4, 4}));
+  const IndexDomain square{Dim(1, 24), Dim(1, 24)};
+  const IndexDomain wide{Dim(1, 48), Dim(1, 24)};
+  struct Case {
+    const char* name;
+    IndexDomain alignee;
+    IndexDomain base;
+    std::vector<BaseDim> dims;
+  };
+  const std::vector<Case> cases = {
+      {"offset", square, square, {expr_dim(0, 1, 1), expr_dim(1, 1, 0)}},
+      {"permuted", square, square, {expr_dim(1, 1, 0), expr_dim(0, 1, 0)}},
+      {"strided", square, wide, {expr_dim(0, 2, 0), expr_dim(1, 1, 0)}},
+  };
+  Rng rng(11);
+  for (const Case& c : cases) {
+    const Distribution u = Distribution::formats(
+        c.base, {DistFormat::cyclic(2), DistFormat::block()},
+        ProcessorRef(ps.find("Q")));
+    const Distribution w = Distribution::constructed(
+        AlignmentFunction(c.alignee, c.base, c.dims), u);
+    ASSERT_FALSE(w.alignment().is_identity()) << c.name;
+    // Sections valid in both domains, so U has a table for each.
+    for (const std::vector<Triplet>& section :
+         {c.alignee.dims(), random_section(rng, c.alignee)}) {
+      const LayoutView wv(w, section);
+      EXPECT_NE(&wv.table(), &LayoutView(u, section).table()) << c.name;
+      EXPECT_GT(wv.ownership_queries(), 0) << c.name;
+      expect_runs_match_sweep(w, wv);
+      check_view(w, section, rng);
+    }
+  }
 }
 
 // --- pooled owner sets -------------------------------------------------------
