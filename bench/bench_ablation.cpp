@@ -1,23 +1,13 @@
-// Ablation A1 — two design choices of this implementation, quantified.
+// Ablation A1a — message vectorization, quantified.
 //
-// (a) Message vectorization. The comm engine batches all element transfers
-//     between one (src,dst) pair within a step into ONE message — the
-//     SUPERB/Vienna Fortran compilation strategy the paper's group built
-//     ([13]). Ablating it (one α-cost message per element) shows why: the
-//     halo exchange of a Jacobi sweep is latency-dominated, and per-element
-//     messaging multiplies the α term by elements/pairs.
-//
-// (b) Derived vs materialized mappings. The forest stores secondaries'
-//     distributions as CONSTRUCT(α, δ_B) views, so REDISTRIBUTE of a base
-//     is O(1) (§4.2). The price: each ownership query through a view
-//     evaluates α. Materializing buys O(1)-ish lookups at O(N) space and a
-//     frozen snapshot (wrong under redistribution — hence only orphaned
-//     secondaries freeze, §5.2).
-#include <benchmark/benchmark.h>
-
+// The comm engine batches all element transfers between one (src,dst) pair
+// within a step into ONE message — the SUPERB/Vienna Fortran compilation
+// strategy the paper's group built ([13]). Ablating it (one α-cost message
+// per element) shows why: the halo exchange of a Jacobi sweep is
+// latency-dominated, and per-element messaging multiplies the α term by
+// elements/pairs.
 #include <cstdio>
 
-#include "core/construct.hpp"
 #include "core/data_env.hpp"
 #include "exec/stencil.hpp"
 #include "machine/metrics.hpp"
@@ -25,8 +15,6 @@
 namespace {
 
 using namespace hpfnt;
-
-// --- (a) message vectorization -----------------------------------------------
 
 void report_vectorization() {
   constexpr Extent kN = 128;
@@ -73,71 +61,9 @@ void report_vectorization() {
               per_element_alpha / vectorized_alpha);
 }
 
-// --- (b) derived vs materialized ownership queries ----------------------------
-
-ProcessorSpace g_space(16);  // shared by the google-benchmark fixtures
-
-struct Mappings {
-  Distribution derived;
-  Distribution materialized;
-  IndexDomain domain;
-};
-
-Mappings build_mappings() {
-  static const ProcessorArrangement& q =
-      g_space.declare("Q", IndexDomain::of_extents({16}));
-  IndexDomain base_domain{Dim(1, 1 << 16)};
-  IndexDomain alignee_domain{Dim(1, 1 << 15)};
-  Distribution base = Distribution::formats(
-      base_domain, {DistFormat::cyclic(3)}, ProcessorRef(q));
-  AlignExpr i = AlignExpr::dummy(0);
-  AlignSpec spec({AligneeSub::dummy(0, "I")},
-                 {BaseSub::of_expr(i * 2 - 1)});
-  AlignmentFunction alpha = spec.reduce(alignee_domain, base_domain);
-  Distribution derived = construct(alpha, base);
-  return {derived, derived.materialize(), alignee_domain};
-}
-
-const Mappings& mappings() {
-  static Mappings m = build_mappings();
-  return m;
-}
-
-void BM_DerivedOwnerLookup(benchmark::State& state) {
-  const Mappings& m = mappings();
-  Index1 i = 1;
-  IndexTuple idx;
-  idx.push_back(1);
-  for (auto _ : state) {
-    idx[0] = i;
-    benchmark::DoNotOptimize(m.derived.first_owner(idx));
-    i = i % (1 << 15) + 1;
-  }
-}
-
-void BM_MaterializedOwnerLookup(benchmark::State& state) {
-  const Mappings& m = mappings();
-  Index1 i = 1;
-  IndexTuple idx;
-  idx.push_back(1);
-  for (auto _ : state) {
-    idx[0] = i;
-    benchmark::DoNotOptimize(m.materialized.first_owner(idx));
-    i = i % (1 << 15) + 1;
-  }
-}
-
-BENCHMARK(BM_DerivedOwnerLookup);
-BENCHMARK(BM_MaterializedOwnerLookup);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   report_vectorization();
-  std::printf("A1b: CONSTRUCT-derived vs materialized ownership lookups\n");
-  std::printf("(derived mappings track base redistributions for free, §4.2; "
-              "materialized ones freeze)\n\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

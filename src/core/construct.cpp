@@ -2,11 +2,6 @@
 
 namespace hpfnt {
 
-Distribution construct(const AlignmentFunction& alpha,
-                       const Distribution& base_distribution) {
-  return Distribution::constructed(alpha, base_distribution);
-}
-
 std::optional<IndexTuple> find_collocation_violation(
     const AlignmentFunction& alpha, const Distribution& base_distribution,
     const Distribution& derived_distribution) {

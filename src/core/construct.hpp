@@ -1,21 +1,18 @@
-// CONSTRUCT (paper Definition 4): derives the distribution of an alignee
-// from its alignment function and the base array's distribution:
+// CONSTRUCT (paper Definition 4) derives the distribution of an alignee
+// from its alignment function and the base array's distribution
+// (Distribution::constructed):
 //
 //     δ_A = CONSTRUCT(α, δ_B),  δ_A(i) = ⋃_{j ∈ α(i)} δ_B(j)
 //
 // guaranteeing that A(i) and B(j) reside in the same processor for every
-// j ∈ α(i), under *any* distribution of B. The verification helper makes
-// that collocation invariant checkable in tests and assertions.
+// j ∈ α(i), under *any* distribution of B. The verification helper below
+// makes that collocation invariant checkable in tests and assertions.
 #pragma once
 
 #include "core/alignment.hpp"
 #include "core/distribution.hpp"
 
 namespace hpfnt {
-
-/// δ_A = CONSTRUCT(α, δ_B). Validates that α's base domain matches δ_B's.
-Distribution construct(const AlignmentFunction& alpha,
-                       const Distribution& base_distribution);
 
 /// Checks the §2.3 collocation guarantee on every alignee index: the owners
 /// of B(j) are a subset of the owners of A(i) for each j ∈ α(i). Returns

@@ -299,39 +299,6 @@ struct Distribution::SectionPayload final : Distribution::Payload {
   }
 };
 
-// --- kExplicit -----------------------------------------------------------------
-
-struct Distribution::ExplicitPayload final : Distribution::Payload {
-  IndexDomain map_domain;
-  std::vector<OwnerSet> owner_table;
-  bool any_replicated = false;
-
-  /// FNV-1a digest of the owner table. Computed once per payload, inside
-  /// the plan-signature memo.
-  std::uint64_t content_digest() const {
-    std::uint64_t d = fnv1a_basis;
-    for (const OwnerSet& set : owner_table) {
-      // Sets are sorted at construction (explicit_map), so the bytes are
-      // canonical: elementwise-equal tables digest equal.
-      d = fnv1a_mix(d, static_cast<Extent>(set.size()));
-      for (ApId p : set) d = fnv1a_mix(d, p);
-    }
-    return d == 0 ? 1 : d;  // forced nonzero
-  }
-
-  Kind kind() const override { return Kind::kExplicit; }
-  const IndexDomain& domain() const override { return map_domain; }
-  bool replicates() const override { return any_replicated; }
-
-  OwnerSet owners(const IndexTuple& index) const override {
-    return owner_table[static_cast<std::size_t>(map_domain.linearize(index))];
-  }
-
-  std::string to_string() const override {
-    return cat("EXPLICIT(<", owner_table.size(), " elements>)");
-  }
-};
-
 // ---------------------------------------------------------------------------
 // Distribution (public surface).
 // ---------------------------------------------------------------------------
@@ -413,37 +380,6 @@ Distribution Distribution::section_view(Distribution parent,
   return Distribution(std::move(payload));
 }
 
-Distribution Distribution::explicit_map(IndexDomain domain,
-                                        std::vector<OwnerSet> owners) {
-  if (static_cast<Extent>(owners.size()) != domain.size()) {
-    throw ConformanceError(cat("explicit owner table has ", owners.size(),
-                               " entries for a domain of size ",
-                               domain.size()));
-  }
-  auto payload = std::make_shared<ExplicitPayload>();
-  for (OwnerSet& set : owners) {
-    if (set.empty()) {
-      throw ConformanceError(
-          "distributions are total (§2.2): every element needs >= 1 owner");
-    }
-    set = sorted(std::move(set));
-    if (set.size() > 1) payload->any_replicated = true;
-  }
-  payload->map_domain = std::move(domain);
-  payload->owner_table = std::move(owners);
-  return Distribution(std::move(payload));
-}
-
-Distribution Distribution::replicated(const IndexDomain& domain,
-                                      ProcessorRef target) {
-  std::vector<ApId> aps = target.all_aps();
-  OwnerSet everyone;
-  for (ApId p : aps) insert_unique(everyone, p);
-  std::vector<OwnerSet> owners(static_cast<std::size_t>(domain.size()),
-                               everyone);
-  return explicit_map(domain, std::move(owners));
-}
-
 const Distribution::Payload& Distribution::payload() const {
   if (!payload_) throw InternalError("empty Distribution dereferenced");
   return *payload_;
@@ -489,20 +425,6 @@ Extent Distribution::local_count(ApId p) const {
 void Distribution::for_each_owned(
     ApId p, const std::function<void(const IndexTuple&)>& fn) const {
   payload().for_each_owned(p, fn);
-}
-
-Distribution Distribution::materialize() const {
-  const IndexDomain& dom = domain();
-  std::vector<OwnerSet> table;
-  table.reserve(static_cast<std::size_t>(dom.size()));
-  // Runs partition the linear positions [0, size) in Fortran order — the
-  // same order for_each visits — so one ownership decision per run covers
-  // the whole constant segment.
-  const LayoutView view = LayoutView::whole(*this);
-  view.for_each_run([&](const OwnerRun& run) {
-    for (Extent k = 0; k < run.count; ++k) table.push_back(view.owners(run));
-  });
-  return explicit_map(dom, std::move(table));
 }
 
 bool Distribution::same_mapping(const Distribution& other) const {
@@ -555,16 +477,6 @@ bool Distribution::structurally_equal(const Distribution& other) const {
       const auto& b = static_cast<const SectionPayload&>(other.payload());
       return a.section == b.section &&
              a.parent.structurally_equal(b.parent);
-    }
-    case Kind::kExplicit: {
-      // Owner tables are canonicalized (sorted) at construction, so
-      // element-wise vector equality is the structural comparison; the
-      // digests screen out the common unequal case first.
-      const auto& a = static_cast<const ExplicitPayload&>(payload());
-      const auto& b = static_cast<const ExplicitPayload&>(other.payload());
-      return a.map_domain == b.map_domain &&
-             a.content_digest() == b.content_digest() &&
-             a.owner_table == b.owner_table;
     }
   }
   return false;
@@ -667,13 +579,6 @@ void Distribution::build_plan_signature(std::string& out) const {
       append_raw(out, static_cast<Extent>(p.section.size()));
       for (const Triplet& t : p.section) t.append_signature(out);
       p.parent.append_plan_signature(out);
-      return;
-    }
-    case Kind::kExplicit: {
-      const auto& p = static_cast<const ExplicitPayload&>(payload());
-      out += 'X';
-      p.map_domain.append_signature(out);
-      append_raw(out, p.content_digest());
       return;
     }
   }

@@ -4,7 +4,7 @@
 // abstract processors — its owners — which store it in local memory.
 //
 // A Distribution is an immutable value (cheap to copy; payload shared).
-// Four payloads realize the mappings the model needs:
+// Three payloads realize every mapping the front end can produce:
 //
 //   kFormats      per-dimension distribution formats over an explicit
 //                 target — what a DISTRIBUTE directive specifies (§4.1)
@@ -16,9 +16,10 @@
 //                 *section* is passed (§8.1.2: SUB(A(2:996:2))) — the
 //                 parent's mapping restricted to the section, renumbered to
 //                 the section's own standard domain
-//   kExplicit     a materialized per-element owner table; used to freeze a
-//                 secondary array's mapping when it is orphaned by REALIGN
-//                 or DEALLOCATE (§5.2, §6), and by inherited dummies
+//
+// A secondary orphaned by REALIGN or DEALLOCATE (§5.2, §6) keeps its
+// current distribution by promoting its kConstructed snapshot, and an
+// inherited dummy gets a kSectionView; neither needs a frozen owner table.
 //
 // Ownership queries never allocate on the single-owner fast path.
 #pragma once
@@ -99,7 +100,7 @@ class RunMemo {
 
 class Distribution {
  public:
-  enum class Kind { kFormats, kConstructed, kSectionView, kExplicit };
+  enum class Kind { kFormats, kConstructed, kSectionView };
 
   Distribution() = default;
 
@@ -118,15 +119,6 @@ class Distribution {
   /// by a dummy argument with its own standard [1:size] domain.
   static Distribution section_view(Distribution parent,
                                    std::vector<Triplet> section);
-
-  /// A materialized mapping; owners_by_position is indexed by the domain's
-  /// linearization and each entry must be non-empty (totality, §2.2).
-  static Distribution explicit_map(IndexDomain domain,
-                                   std::vector<OwnerSet> owners_by_position);
-
-  /// Replicates every element of `domain` over all of `target`.
-  static Distribution replicated(const IndexDomain& domain,
-                                 ProcessorRef target);
 
   bool valid() const noexcept { return payload_ != nullptr; }
   Kind kind() const;
@@ -163,10 +155,6 @@ class Distribution {
   void for_each_owned(ApId p,
                       const std::function<void(const IndexTuple&)>& fn) const;
 
-  /// Freezes the mapping into a kExplicit distribution (used when the
-  /// forest must detach a derived distribution from its base).
-  Distribution materialize() const;
-
   /// Element-wise equality of mappings: same domain and same owner sets
   /// everywhere. O(|I^A| · rank). This is the semantic comparison behind
   /// inheritance matching (§7, mode 3).
@@ -175,12 +163,11 @@ class Distribution {
   /// Fast structural comparison: true for two kFormats distributions with
   /// equal domains, formats, and targets; for two kConstructed
   /// distributions whose alignment functions are structurally equal and
-  /// whose bases compare structurally equal in turn; for two kSectionView
-  /// distributions with equal restricting triplets over structurally equal
-  /// parents; and for two kExplicit distributions with equal domains and
-  /// element-wise equal owner tables (tables are canonicalized — sorted —
-  /// at construction, so this is a plain vector comparison). (May return
-  /// false for mappings that are element-wise equal.)
+  /// whose bases compare structurally equal in turn; and for two
+  /// kSectionView distributions with equal restricting triplets over
+  /// structurally equal parents. INDIRECT formats compare their maps and
+  /// user-defined formats their bound owner content. (May return false for
+  /// mappings that are element-wise equal.)
   bool structurally_equal(const Distribution& other) const;
 
   /// The payload's content plan signature: a byte string equal for two
@@ -191,10 +178,9 @@ class Distribution {
   /// share one plan. Every payload kind has one: formats serialize their
   /// specification (INDIRECT and user-defined formats digest their bound
   /// owner tables), constructed payloads compose α with the base's
-  /// signature, section views compose the restricting triplets with the
-  /// parent's signature, and explicit payloads digest their owner table.
-  /// Table-backed content enters as a 64-bit FNV-1a digest, so signatures
-  /// stay short for large owner tables. Memoized on
+  /// signature, and section views compose the restricting triplets with the
+  /// parent's signature. Table-backed content enters as a 64-bit FNV-1a
+  /// digest, so signatures stay short for large owner tables. Memoized on
   /// the immutable payload (built once, thread-safe; constructed and
   /// section-view payloads compose their children's memos), so a warm key
   /// build costs one append per distribution.
@@ -235,7 +221,6 @@ class Distribution {
   struct FormatsPayload;
   struct ConstructedPayload;
   struct SectionPayload;
-  struct ExplicitPayload;
 
   explicit Distribution(std::shared_ptr<const Payload> payload)
       : payload_(std::move(payload)) {}

@@ -85,8 +85,4 @@ Extent number_of_processors(const ProcessorSpace& space) {
   return space.processor_count();
 }
 
-OwnerSet owners_of(const Distribution& dist, const IndexTuple& index) {
-  return dist.owners(index);
-}
-
 }  // namespace hpfnt

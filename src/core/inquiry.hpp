@@ -22,14 +22,14 @@ enum class DimKind {
   kCollapsed,
   kIndirect,
   kUserDefined,
-  kDerived,  // not expressible as a per-dimension format (constructed,
-             // section view, or materialized mapping)
+  kDerived,  // not expressible as a per-dimension format (constructed
+             // or section view)
 };
 
 const char* dim_kind_name(DimKind kind);
 
 struct DistributionInfo {
-  Distribution::Kind kind = Distribution::Kind::kExplicit;
+  Distribution::Kind kind = Distribution::Kind::kFormats;
   int rank = 0;
   bool replicated = false;
   std::vector<DimKind> dim_kinds;          // per array dimension
@@ -53,9 +53,5 @@ AlignmentInfo inquire_alignment(const DataEnv& env, const DistArray& array);
 
 /// NUMBER_OF_PROCESSORS().
 Extent number_of_processors(const ProcessorSpace& space);
-
-/// The owners of one element — the primitive every other inquiry reduces
-/// to (δ(i), §2.2).
-OwnerSet owners_of(const Distribution& dist, const IndexTuple& index);
 
 }  // namespace hpfnt

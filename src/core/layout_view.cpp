@@ -21,8 +21,8 @@ constexpr Extent kUnbounded = std::numeric_limits<Extent>::max() / 4;
 // Returns how many additional elements beyond idx — stepping idx[dim] by
 // `step` each time, all other coordinates fixed — are *guaranteed* to keep
 // the owner set unchanged. A sound lower bound: 0 is always safe and is
-// what table-backed mappings without structure (kExplicit) report; the run
-// builder's probe-and-merge loop restores maximality in that case.
+// what non-linear (MAX/MIN) alignment subscripts report; the run builder's
+// probe-and-merge loop restores maximality in that case.
 Extent same_owner_span(const Distribution& dist, int dim,
                        const IndexTuple& idx, Index1 step);
 
@@ -103,8 +103,6 @@ Extent same_owner_span(const Distribution& dist, int dim,
           parent, dim, pidx,
           trips[static_cast<std::size_t>(dim)].stride() * step);
     }
-    case Distribution::Kind::kExplicit:
-      return 0;  // run-length scanning via the probe-and-merge loop
   }
   return 0;
 }
@@ -346,13 +344,7 @@ LayoutView::LayoutView(Distribution dist, std::vector<Triplet> section)
     build_runs(dist_, section_, computed, /*use_dim_memo=*/true);
     table = std::make_shared<RunTable>(std::move(computed));
   }
-  // Arming the owners() shim with a whole-domain table only pays off when
-  // the payload's own per-element query is dearer than a binary search —
-  // kExplicit already answers in O(1) from its owner table, and its run
-  // table can dwarf it (one run per owner change), so leave it unarmed.
-  const bool whole = section_ == dist_.domain().dims() &&
-                     dist_.kind() != Distribution::Kind::kExplicit;
-  memo.insert(key, table, whole);
+  memo.insert(key, table, section_ == dist_.domain().dims());
   table_ = std::move(table);
 }
 

@@ -34,8 +34,7 @@
 //     α (ALIGN W(I) WITH U(I): CONSTRUCT(id, δ_U) = δ_U) builds nothing:
 //     W's view holds the very RunTable object U's view of the same section
 //     holds, fetched through U's memo,
-//   * by triplet composition (restriction) for kSectionView, and
-//   * by run-length scanning of the owner table for kExplicit,
+//   * by triplet composition (restriction) for kSectionView,
 // and are memoized per Distribution payload keyed by the section
 // (Distribution::run_memo), so repeated sweeps of the same section are
 // free. Distribution::owners(IndexTuple) remains as a thin per-element

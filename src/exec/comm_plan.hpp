@@ -36,8 +36,7 @@
 //   * section views compose the restricting triplets with the parent's
 //     signature — so the fresh section-view dummy every procedure call
 //     mints (DataEnv::call / enter_call / exit_call) keys identically to
-//     last call's, and call N>1 replays call 1's argument-copy plans;
-//   * explicit payloads digest their (canonicalized) owner table.
+//     last call's, and call N>1 replays call 1's argument-copy plans.
 //
 // Each payload's signature is built once and memoized on the immutable
 // payload (Distribution::plan_signature), so a warm key build is one

@@ -78,7 +78,7 @@ void ProgramState::account_release(const Store& s) {
 void ProgramState::account_shadow(const Store& s, bool allocate) {
   if (s.shadow.empty()) return;
   if (!s.dist.valid() || s.dist.kind() != Distribution::Kind::kFormats) {
-    // Derived (aligned/section-view/explicit) layouts never post halo
+    // Derived (aligned/section-view) layouts never post halo
     // exchanges (exec/overlap.hpp shadow_covers), so they materialize no
     // ghost cells either.
     return;

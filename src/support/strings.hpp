@@ -24,7 +24,7 @@ void append_raw(std::string& out, T v) {
 }
 
 /// 64-bit FNV-1a: the cheap content digest behind the plan-key signatures
-/// of table-backed payloads (explicit owner tables, INDIRECT/USER formats).
+/// of table-backed formats (INDIRECT and user-defined).
 /// Streamed value by value via fnv1a_mix so callers never materialize a
 /// byte buffer; start from fnv1a_basis.
 inline constexpr std::uint64_t fnv1a_basis = 1469598103934665603ULL;

@@ -27,6 +27,7 @@
 #include "machine/step_pricer.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
+#include "replicate_all.hpp"
 
 namespace hpfnt {
 namespace {
@@ -519,7 +520,7 @@ class PairWalkProperty : public ::testing::Test {
     const bool rank2 = dom.rank() == 2;
     const ProcessorRef target(ps_.find(rank2 ? "G" : "Q"));
     const Extent pick = rng.uniform(0, 9);
-    if (pick == 0) return Distribution::replicated(dom, target);
+    if (pick == 0) return replicated_over(dom, target);
     std::vector<DistFormat> formats;
     for (int d = 0; d < dom.rank(); ++d) {
       const Extent n = dom.dims()[static_cast<std::size_t>(d)].size();

@@ -22,6 +22,7 @@
 #include "service/plan_service.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
+#include "replicate_all.hpp"
 
 namespace hpfnt {
 namespace {
@@ -137,35 +138,29 @@ TEST_F(CommPlanTest, AssignAndCopySectionPriceIdenticalSchedules) {
   // With a flop-free RHS and an unreplicated destination, C = A and a
   // copy_section of A onto C describe the same movement; after unifying
   // the canonical replica and counting copy-side local reads, they price
-  // identically — including the explicit (materialized) form of A.
+  // identically.
   const IndexDomain dom{Dim(1, 16)};
-  for (const bool materialized : {false, true}) {
-    DataEnv env(ps_);
-    DistArray& a = env.real("A", dom);
-    DistArray& c = env.real("C", dom);
-    Distribution src = owners_front_not_min(dom);
-    if (materialized) {
-      src = src.materialize();
-      ASSERT_EQ(src.kind(), Distribution::Kind::kExplicit);
-    }
-    const Distribution dst = all_on(dom, 2);
+  DataEnv env(ps_);
+  DistArray& a = env.real("A", dom);
+  DistArray& c = env.real("C", dom);
+  const Distribution src = owners_front_not_min(dom);
+  const Distribution dst = all_on(dom, 2);
 
-    ProgramState assigned(machine_);
-    assigned.create_with(a, src);
-    assigned.create_with(c, dst);
-    const AssignResult r =
-        assign_on_layout(assigned, c, dom.dims(), SecExpr::whole(a), "move");
+  ProgramState assigned(machine_);
+  assigned.create_with(a, src);
+  assigned.create_with(c, dst);
+  const AssignResult r =
+      assign_on_layout(assigned, c, dom.dims(), SecExpr::whole(a), "move");
 
-    ProgramState copied(machine_);
-    copied.create_with(a, src);
-    copied.create_with(c, dst);
-    const Extent local_before = copied.comm().local_reads();
-    const StepStats step = copied.copy_section(c, dom.dims(), a, dom.dims(),
-                                               "move");
-    expect_step_eq(step, r.step);
-    EXPECT_EQ(copied.comm().local_reads() - local_before, r.local_reads);
-    EXPECT_EQ(cached_flows(assigned.plans()), cached_flows(copied.plans()));
-  }
+  ProgramState copied(machine_);
+  copied.create_with(a, src);
+  copied.create_with(c, dst);
+  const Extent local_before = copied.comm().local_reads();
+  const StepStats step =
+      copied.copy_section(c, dom.dims(), a, dom.dims(), "move");
+  expect_step_eq(step, r.step);
+  EXPECT_EQ(copied.comm().local_reads() - local_before, r.local_reads);
+  EXPECT_EQ(cached_flows(assigned.plans()), cached_flows(copied.plans()));
 }
 
 // --- conformance: squeeze-then-compare in copy_section ----------------------
@@ -368,22 +363,9 @@ TEST_F(PlanReplayTest, SectionViewKind) {
   expect_replay_matches_cold(lhs, dom.dims(), rhs, dom.dims());
 }
 
-TEST_F(PlanReplayTest, ExplicitKind) {
-  const IndexDomain dom{Dim(1, 40)};
-  const Distribution lhs =
-      Distribution::formats(dom, {DistFormat::cyclic(5)},
-                            ProcessorRef(ps_.find("Q")))
-          .materialize();
-  ASSERT_EQ(lhs.kind(), Distribution::Kind::kExplicit);
-  const Distribution rhs =
-      Distribution::replicated(dom, ProcessorRef(ps_.find("Q")));
-  expect_replay_matches_cold(lhs, dom.dims(), rhs, dom.dims());
-}
-
 TEST_F(PlanReplayTest, ReplicatedLhsReplaysBroadcasts) {
   const IndexDomain dom{Dim(1, 16)};
-  const Distribution lhs =
-      Distribution::replicated(dom, ProcessorRef(ps_.find("Q")));
+  const Distribution lhs = replicated_over(dom, ProcessorRef(ps_.find("Q")));
   const Distribution rhs = Distribution::formats(
       dom, {DistFormat::block()}, ProcessorRef(ps_.find("Q")));
   expect_replay_matches_cold(lhs, dom.dims(), rhs, dom.dims());
@@ -463,8 +445,7 @@ TEST_F(PlanReplayTest, StructurallyEqualFormatsShareOnePlan) {
 TEST_F(PlanReplayTest, ContentSignatureCoverage) {
   // Every payload kind now carries a content plan signature: formats
   // (including table-backed INDIRECT/USER ones, which digest their bound
-  // owner tables), constructed payloads over any base, section views, and
-  // explicit maps.
+  // owner tables), constructed payloads over any base, and section views.
   const IndexDomain dom{Dim(1, 16)};
   const Distribution block = Distribution::formats(
       dom, {DistFormat::block()}, ProcessorRef(ps_.find("Q")));
@@ -483,7 +464,6 @@ TEST_F(PlanReplayTest, ContentSignatureCoverage) {
                                          indirect)
                    .plan_signature()
                    .empty());
-  EXPECT_FALSE(block.materialize().plan_signature().empty());
   EXPECT_FALSE(
       Distribution::section_view(block, dom.dims()).plan_signature().empty());
 }
@@ -533,15 +513,14 @@ TEST_F(PlanReplayTest, AddressDistinctSectionViewsKeyIdentically) {
 }
 
 TEST_F(PlanReplayTest, ExplicitContentKeysShareAndDistinguish) {
+  // An INDIRECT owner map keys by the digest of its content: two equal
+  // maps minted separately key and compare equal; a different map differs.
   const IndexDomain dom{Dim(1, 24)};
-  auto striped = [&](ApId first) {
-    std::vector<OwnerSet> table;
-    for (Index1 i = 0; i < 24; ++i) {
-      OwnerSet set;
-      set.push_back((first + i) % 4);
-      table.push_back(set);
-    }
-    return Distribution::explicit_map(dom, std::move(table));
+  auto striped = [&](Extent first) {
+    std::vector<Extent> map;
+    for (Extent i = 0; i < 24; ++i) map.push_back((first + i) % 4 + 1);
+    return Distribution::formats(dom, {DistFormat::indirect(std::move(map))},
+                                 ProcessorRef(ps_.find("Q")));
   };
   const Distribution e1 = striped(0);
   const Distribution e2 = striped(0);
@@ -550,23 +529,6 @@ TEST_F(PlanReplayTest, ExplicitContentKeysShareAndDistinguish) {
   EXPECT_TRUE(e1.structurally_equal(e2));
   EXPECT_NE(key_of(striped(1)), key_of(e1));
   EXPECT_FALSE(striped(1).structurally_equal(e1));
-
-  // The owner-set *order* carries no content: explicit_map canonicalizes,
-  // so {2,0} and {0,2} tables digest and compare equal.
-  auto rep = [&](bool reversed) {
-    OwnerSet set;
-    if (reversed) {
-      set.push_back(2);
-      set.push_back(0);
-    } else {
-      set.push_back(0);
-      set.push_back(2);
-    }
-    return Distribution::explicit_map(
-        dom, std::vector<OwnerSet>(24, set));
-  };
-  EXPECT_EQ(key_of(rep(true)), key_of(rep(false)));
-  EXPECT_TRUE(rep(true).structurally_equal(rep(false)));
 }
 
 TEST_F(PlanReplayTest, AddressDistinctSectionViewDummiesShareOnePlan) {
@@ -914,7 +876,7 @@ class PairPlanTest : public ::testing::Test {
             layout(DistFormat::general_block_sizes(sizes)),
             layout(DistFormat::indirect(owner)),
             layout(DistFormat::block()),
-            Distribution::replicated(dom_, ProcessorRef(ps_.find("Q"))),
+            replicated_over(dom_, ProcessorRef(ps_.find("Q"))),
             layout(DistFormat::block())};
   }
 
@@ -1186,6 +1148,44 @@ TEST_F(PlanReplayTest, AlignedJacobiHundredIterationsReplaysWithZeroQueries) {
   EXPECT_DOUBLE_EQ(warm.checksum(b.id()), cold.checksum(b.id()));
 }
 
+// --- the E3 exact-count gate: ownership queries of a cold aligned step -----
+
+TEST_F(PlanReplayTest, ExecColdStepOwnershipQueriesMatchE3) {
+  // bench_iterative_sweep's E3 rig, plans off: once both sweep directions
+  // are primed, a cold step of B identity-ALIGN-ed with A spends exactly
+  // the 24 probes of the tables it builds (B's views hold A's run tables),
+  // at every n; the DISTRIBUTE-d twin's A -> B step, the one the bench
+  // reports, spends 32.
+  for (const Extent n : {64, 128, 256}) {
+    for (const bool aligned : {true, false}) {
+      SCOPED_TRACE(cat("n=", n, aligned ? " aligned" : " distributed"));
+      Machine machine(16);
+      ProcessorSpace ps(16);
+      const ProcessorRef grid(ps.declare("G", IndexDomain::of_extents({4, 4})));
+      DataEnv env(ps);
+      DistArray& a = env.real("A", IndexDomain{Dim(1, n), Dim(1, n)});
+      DistArray& b = env.real("B", IndexDomain{Dim(1, n), Dim(1, n)});
+      env.distribute(a, {DistFormat::block(), DistFormat::block()}, grid);
+      if (aligned) {
+        env.align(b, a, AlignSpec::colons(2));
+      } else {
+        env.distribute(b, {DistFormat::block(), DistFormat::block()}, grid);
+      }
+      ProgramState state(machine);
+      state.plans().set_enabled(false);
+      state.create(env, a);
+      state.create(env, b);
+      jacobi_step(state, env, a, b, n);  // prime both sweep directions
+      jacobi_step(state, env, b, a, n);
+      EXPECT_EQ(jacobi_step(state, env, a, b, n).ownership_queries,
+                aligned ? 24 : 32);
+      if (aligned) {
+        EXPECT_EQ(jacobi_step(state, env, b, a, n).ownership_queries, 24);
+      }
+    }
+  }
+}
+
 // --- invalidation: no stale pricing or replay across REALIGN ----------------
 
 TEST_F(PlanReplayTest, RealignedArrayDoesNotReplayStalePlan) {
@@ -1251,23 +1251,22 @@ TEST_F(PlanReplayTest, RealignedArrayDoesNotReplayStalePlan) {
 // --- recycled payload addresses can never alias a plan key ------------------
 
 TEST_F(PlanReplayTest, RecycledPayloadAddressDoesNotReplayStalePlan) {
-  // Explicit payloads key by content digest, so a different mapping at a
+  // INDIRECT payloads key by content digest, so a different mapping at a
   // recycled address digests differently and the stale plan cannot
   // replay. The hazardous sequence end to end: an entry whose payload has
   // been released and whose address the allocator hands to a different
   // mapping.
   const IndexDomain dom{Dim(1, 8)};
-  auto explicit_on = [&](ApId p) {
-    OwnerSet one;
-    one.push_back(p);
-    return Distribution::explicit_map(
-        dom, std::vector<OwnerSet>(8, one));
+  auto indirect_on = [&](Extent position) {
+    return Distribution::formats(
+        dom, {DistFormat::indirect(std::vector<Extent>(8, position))},
+        ProcessorRef(ps_.find("Q")));
   };
   PlanCache cache;
   std::string stale_key;
   const void* address = nullptr;
   {
-    Distribution d1 = explicit_on(0);
+    Distribution d1 = indirect_on(1);
     address = d1.payload_identity();
     PlanKey k;
     k.add_tag("copy");
@@ -1283,7 +1282,7 @@ TEST_F(PlanReplayTest, RecycledPayloadAddressDoesNotReplayStalePlan) {
   Distribution d2;
   for (int i = 0; i < 4096 && d2.payload_identity() != address; ++i) {
     d2 = Distribution();
-    d2 = explicit_on(1);
+    d2 = indirect_on(2);
   }
   if (d2.payload_identity() != address) {
     // Quarantining allocators (ASan) may never recycle the address; the
@@ -1327,11 +1326,6 @@ class CommPlanSignatureMemoTest : public CommPlanTest {
     }
     const Distribution view =
         Distribution::section_view(block, {Triplet(2, 22, 2)});
-    std::vector<OwnerSet> table(24);
-    for (std::size_t i = 0; i < table.size(); ++i) {
-      table[i].push_back(static_cast<ApId>(i % 3));
-      if (i % 4 == 0) table[i].push_back(7);
-    }
     return {
         {"block", block},
         {"cyclic", Distribution::formats(dom, {DistFormat::cyclic(3)}, q)},
@@ -1350,7 +1344,6 @@ class CommPlanSignatureMemoTest : public CommPlanTest {
         {"section_view", view},
         {"nested_section_view",
          Distribution::section_view(view, {Triplet(3, 9)})},
-        {"explicit", Distribution::explicit_map(dom, std::move(table))},
     };
   }
 };

@@ -40,7 +40,7 @@ TEST_F(ConstructTest, ShiftAlignmentFollowsBase) {
                  {BaseSub::of_expr(AlignExpr::dummy(0) + 1)});
   AlignmentFunction alpha =
       spec.reduce(IndexDomain{Dim(1, 15)}, IndexDomain{Dim(1, 16)});
-  Distribution delta_a = construct(alpha, delta_b);
+  Distribution delta_a = Distribution::constructed(alpha, delta_b);
   EXPECT_EQ(delta_a.kind(), Distribution::Kind::kConstructed);
   // A(4) sits with B(5): block 2 -> AP 1.
   EXPECT_EQ(delta_a.first_owner(idx({4})), 1);
@@ -56,7 +56,7 @@ TEST_F(ConstructTest, ReplicationMakesUnionOfOwners) {
   AlignSpec spec({AligneeSub::colon()}, {BaseSub::colon(), BaseSub::star()});
   AlignmentFunction alpha = spec.reduce(IndexDomain{Dim(1, 8)},
                                         delta_d.domain());
-  Distribution delta_a = construct(alpha, delta_d);
+  Distribution delta_a = Distribution::constructed(alpha, delta_d);
   EXPECT_TRUE(delta_a.replicates());
   // Row 1 of D spans all 4 column-blocks of the grid: 4 owners.
   EXPECT_EQ(delta_a.owners(idx({1})).size(), 4u);
@@ -71,7 +71,7 @@ TEST_F(ConstructTest, CollapsedAxisUnaffectedByExtraDims) {
                  {BaseSub::colon()});
   AlignmentFunction alpha = spec.reduce(
       IndexDomain{Dim(1, 8), Dim(1, 3)}, IndexDomain{Dim(1, 8)});
-  Distribution delta_b = construct(alpha, delta_e);
+  Distribution delta_b = Distribution::constructed(alpha, delta_e);
   for (Index1 j2 = 1; j2 <= 3; ++j2) {
     EXPECT_EQ(delta_b.first_owner(idx({5, j2})),
               delta_e.first_owner(idx({5})));
@@ -84,7 +84,7 @@ TEST_F(ConstructTest, DomainMismatchThrows) {
       ProcessorRef(ps_.find("Q"), {TargetSub::range(Triplet(1, 4))}));
   AlignmentFunction alpha = AlignmentFunction::identity(
       IndexDomain{Dim(1, 8)}, IndexDomain{Dim(1, 8)});  // base domain 1:8
-  EXPECT_THROW(construct(alpha, delta_b), ConformanceError);
+  EXPECT_THROW(Distribution::constructed(alpha, delta_b), ConformanceError);
 }
 
 // --- The collocation property, swept over alignments and distributions ------
@@ -186,7 +186,7 @@ TEST_P(CollocationLaw, HoldsUnderEveryBaseDistribution) {
     AlignSpec rep({AligneeSub::dummy(0, "I")},
                   {BaseSub::of_expr(i), BaseSub::star()});
     AlignmentFunction a2 = rep.reduce(alignee_domain, b2);
-    Distribution derived = construct(a2, delta_b2);
+    Distribution derived = Distribution::constructed(a2, delta_b2);
     EXPECT_FALSE(
         find_collocation_violation(a2, delta_b2, derived).has_value());
     return;
@@ -196,13 +196,13 @@ TEST_P(CollocationLaw, HoldsUnderEveryBaseDistribution) {
                   {BaseSub::colon()});
     IndexDomain two{Dim(1, 16), Dim(1, 3)};
     AlignmentFunction a2 = col.reduce(two, base_domain);
-    Distribution derived = construct(a2, delta_b);
+    Distribution derived = Distribution::constructed(a2, delta_b);
     EXPECT_FALSE(
         find_collocation_violation(a2, delta_b, derived).has_value());
     return;
   }
 
-  Distribution derived = construct(alpha, delta_b);
+  Distribution derived = Distribution::constructed(alpha, delta_b);
   EXPECT_FALSE(
       find_collocation_violation(alpha, delta_b, derived).has_value());
 }
@@ -234,15 +234,13 @@ TEST_F(ConstructTest, ViolationDetectorFindsBrokenMappings) {
       ProcessorRef(ps_.find("Q"), {TargetSub::range(Triplet(1, 4))}));
   AlignmentFunction alpha = AlignmentFunction::identity(
       IndexDomain{Dim(1, 8)}, IndexDomain{Dim(1, 8)});
-  // Shifted-by-one mapping: element 2 claims to live where B(2) does not.
-  std::vector<OwnerSet> wrong;
-  for (Index1 k = 1; k <= 8; ++k) {
-    OwnerSet o;
-    o.push_back((k % 4));  // rotate owners
-    wrong.push_back(o);
-  }
-  Distribution bogus =
-      Distribution::explicit_map(IndexDomain{Dim(1, 8)}, std::move(wrong));
+  // Rotated INDIRECT map: element k claims position k mod 4 + 1, where
+  // B(k) does not live.
+  std::vector<Extent> wrong;
+  for (Index1 k = 1; k <= 8; ++k) wrong.push_back(k % 4 + 1);
+  Distribution bogus = Distribution::formats(
+      IndexDomain{Dim(1, 8)}, {DistFormat::indirect(std::move(wrong))},
+      ProcessorRef(ps_.find("Q"), {TargetSub::range(Triplet(1, 4))}));
   EXPECT_TRUE(find_collocation_violation(alpha, delta_b, bogus).has_value());
 }
 

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "support/error.hpp"
+#include "replicate_all.hpp"
 
 namespace hpfnt {
 namespace {
@@ -163,28 +164,8 @@ TEST_F(DistributionTest, SectionViewRenumbersAndDelegates) {
   }
 }
 
-TEST_F(DistributionTest, ExplicitMapTotalityEnforced) {
-  std::vector<OwnerSet> owners(4);
-  owners[0].push_back(0);
-  owners[1].push_back(1);
-  owners[2].push_back(0);
-  // owners[3] left empty -> violates totality (§2.2)
-  EXPECT_THROW(
-      Distribution::explicit_map(IndexDomain{Dim(1, 4)}, std::move(owners)),
-      ConformanceError);
-}
-
-TEST_F(DistributionTest, MaterializePreservesMapping) {
-  Distribution d = Distribution::formats(
-      IndexDomain{Dim(0, 9)}, {DistFormat::cyclic(3)},
-      ProcessorRef(ps_.find("Q")));
-  Distribution frozen = d.materialize();
-  EXPECT_EQ(frozen.kind(), Distribution::Kind::kExplicit);
-  EXPECT_TRUE(frozen.same_mapping(d));
-}
-
 TEST_F(DistributionTest, ReplicatedEverywhere) {
-  Distribution d = Distribution::replicated(
+  Distribution d = replicated_over(
       IndexDomain{Dim(1, 4)},
       ProcessorRef(ps_.find("Q"), {TargetSub::range(Triplet(1, 4))}));
   EXPECT_TRUE(d.replicates());

@@ -1,7 +1,7 @@
 // Property suites over full multi-dimensional Distributions (§2.2): the
 // laws that must hold for every format pair, target shape and lower bound —
 // totality, partition, count consistency, section-view composition, and
-// materialization equivalence.
+// equivalence with the formats' INDIRECT (table) materialization.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -95,8 +95,24 @@ TEST_P(DistributionLaws, ForEachOwnedAgreesWithOwners) {
 }
 
 TEST_P(DistributionLaws, MaterializationPreservesEverything) {
+  // Materialize every distributed dimension's owner map as an INDIRECT
+  // table over the same target: the table-valued format must reproduce the
+  // mapping element-wise and every processor's local count.
   Distribution d = build();
-  Distribution frozen = d.materialize();
+  std::vector<DistFormat> tables;
+  for (int dim = 0; dim < domain_.rank(); ++dim) {
+    const DistFormat& f = d.format_list()[static_cast<std::size_t>(dim)];
+    if (f.is_collapsed()) {
+      tables.push_back(f);
+      continue;
+    }
+    std::vector<Extent> map;
+    for (Index1 i = 1; i <= domain_.extent(dim); ++i) {
+      map.push_back(d.dim_mapping(dim).owners(i).front());
+    }
+    tables.push_back(DistFormat::indirect(std::move(map)));
+  }
+  Distribution frozen = Distribution::formats(domain_, tables, d.target());
   EXPECT_TRUE(frozen.same_mapping(d));
   for (ApId p = 0; p < 16; ++p) {
     EXPECT_EQ(frozen.local_count(p), d.local_count(p));

@@ -9,6 +9,7 @@
 #include "exec/redistribute_exec.hpp"
 #include "exec/stencil.hpp"
 #include "support/error.hpp"
+#include "replicate_all.hpp"
 
 namespace hpfnt {
 namespace {
@@ -45,9 +46,8 @@ TEST_F(ExecTest, StorageLifecycleAndMemoryAccounting) {
 TEST_F(ExecTest, ReplicatedStorageChargesEveryOwner) {
   ProgramState state(machine_);
   DistArray& a = env_.real("A", IndexDomain{Dim(1, 8)});
-  // Replicate A over all 8 processors via an explicit map.
-  state.create_with(a, Distribution::replicated(a.domain(),
-                                                ProcessorRef(ps_.find("Q"))));
+  // Replicate A over all 8 processors.
+  state.create_with(a, replicated_over(a.domain(), ProcessorRef(ps_.find("Q"))));
   EXPECT_EQ(state.memory().total_bytes(), 8 * 8 * 4);
 }
 

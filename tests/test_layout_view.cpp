@@ -1,7 +1,8 @@
 // Property tests for the run-based ownership API (core/layout_view.hpp).
 //
-// For random distributions of every Distribution::Kind and random
-// triplet-sections, the computed run table must
+// For random distributions of every Distribution::Kind (formats,
+// constructed, section view) and random triplet-sections, the computed run
+// table must
 //   * cover the section's linear position space exactly once, in order,
 //   * keep every run inside one row, so its elements step along dimension 0
 //     only (parent_index agrees with the section triplets),
@@ -24,6 +25,7 @@
 #include "core/layout_view.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "replicate_all.hpp"
 
 namespace hpfnt {
 namespace {
@@ -234,7 +236,8 @@ TEST(LayoutViewProperties, ConstructedRandomAlignments) {
 
     std::vector<AlignmentFunction::BaseDim> base_dims(
         static_cast<std::size_t>(base_domain.rank()));
-    for (auto& bd : base_dims) {
+    for (std::size_t b = 0; b < base_dims.size(); ++b) {
+      AlignmentFunction::BaseDim& bd = base_dims[b];
       switch (rng.uniform(0, 3)) {
         case 0:
           bd.kind = AlignmentFunction::BaseDim::Kind::kReplicated;
@@ -251,6 +254,24 @@ TEST(LayoutViewProperties, ConstructedRandomAlignments) {
           // Offsets large enough to exercise the §5.1 clamp rule at both
           // ends of the base dimension.
           bd.expr = AlignExpr::dummy(bd.alignee_dim) * a + rng.uniform(-8, 8);
+          // MAX/MIN subscripts (§5.1's explicit truncation) give the span
+          // analysis no guarantee: every element of a row is probed, and
+          // the probe-and-merge loop alone must keep the runs maximal.
+          const int dim = static_cast<int>(b);
+          switch (rng.uniform(0, 3)) {
+            case 0:
+              bd.expr = AlignExpr::max(
+                  bd.expr, AlignExpr::constant(base_domain.lower(dim) +
+                                               rng.uniform(0, 8)));
+              break;
+            case 1:
+              bd.expr = AlignExpr::min(
+                  bd.expr, AlignExpr::constant(base_domain.upper(dim) -
+                                               rng.uniform(0, 8)));
+              break;
+            default:
+              break;
+          }
           break;
         }
       }
@@ -281,27 +302,13 @@ TEST(LayoutViewProperties, SectionViewRandomRestrictions) {
   }
 }
 
-// --- kExplicit --------------------------------------------------------------
-
-TEST(LayoutViewProperties, ExplicitMaterializedTables) {
-  for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    Rng rng(seed * 31337 + 7);
-    ProcessorSpace ps(4096, ScalarPlacement::kReplicated);
-    const IndexDomain domain =
-        random_domain(rng, static_cast<int>(rng.uniform(1, 2)));
-    const Distribution dist =
-        random_formats_dist(rng, domain, ps, "P").materialize();
-    ASSERT_EQ(dist.kind(), Distribution::Kind::kExplicit);
-    check_view(dist, domain.dims(), rng);
-    check_view(dist, random_section(rng, domain), rng);
-  }
-}
+// --- replicated layouts ---------------------------------------------------
 
 TEST(LayoutViewProperties, ReplicatedExplicitCollapsesToOneRunPerRow) {
   ProcessorSpace ps(8);
   ps.declare("Q", IndexDomain::of_extents({8}));
-  const Distribution dist = Distribution::replicated(
-      IndexDomain{Dim(1, 64)}, ProcessorRef(ps.find("Q")));
+  const Distribution dist =
+      replicated_over(IndexDomain{Dim(1, 64)}, ProcessorRef(ps.find("Q")));
   const LayoutView view = LayoutView::whole(dist);
   ASSERT_EQ(view.run_count(), 1);
   EXPECT_EQ(view.runs().front().count, 64);
