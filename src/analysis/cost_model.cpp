@@ -206,7 +206,7 @@ class CostModel : public WalkVisitor {
 
     price(stmt, [&](PricerSink& sink) {
       charge_remap_step(event.from, event.to, bytes, sink,
-                        [](ApId, Extent) {});
+                        /*fold=*/nullptr);
     });
     seal(std::move(stmt));
   }

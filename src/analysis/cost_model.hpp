@@ -25,7 +25,7 @@
 //
 // Like the executor, the model prices each plan key once. A statement
 // whose key repeats an earlier one (an HX002 statement) runs no charge
-// walk and builds no run table: its stats (relabelled to it), phases,
+// walk: its stats (relabelled to it), phases,
 // local reads and traffic are the first statement's with that key — the
 // premise the PlanCache replays on (same content key, same plan). Totals
 // still add every statement in order, so they stay the engine's exact

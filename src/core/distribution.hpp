@@ -46,9 +46,10 @@ namespace hpfnt {
 /// dimension, ascending dimension order) into the full owner set of a
 /// formats distribution: the union of target.owners_at over the cartesian
 /// product of the sets, first set varying fastest, first-seen order, no
-/// duplicates. The single implementation behind FormatsPayload::owners and
-/// LayoutView's analytic run builder — sharing it is what keeps run tables
-/// elementwise identical to the per-element query.
+/// duplicates. The single implementation behind FormatsPayload::owners,
+/// LayoutView's analytic run builder and the per-dimension pair counts
+/// (core/pair_counts.hpp) — sharing it is what keeps run tables and pair
+/// counts elementwise identical to the per-element query.
 OwnerSet compose_dim_owners(
     const ProcessorRef& target,
     const std::array<const DimOwnerSet*, kMaxRank>& sets,
@@ -81,6 +82,12 @@ class RunMemo {
       whole_ = std::move(table);
       whole_raw_.store(whole_.get(), std::memory_order_release);
     }
+  }
+
+  /// Number of memoized tables.
+  std::size_t size() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return entries_.size();
   }
 
   /// Lock-free fast path for the owners() compatibility shim: null until a
@@ -193,6 +200,16 @@ class Distribution {
   const std::vector<DistFormat>& format_list() const;
   const ProcessorRef& target() const;
   const DimMapping& dim_mapping(int dim) const;
+
+  /// kFormats only: the owner set of every position of target(), in
+  /// Fortran order (first dimension fastest) — compose_dim_owners of
+  /// single positions — and whether no two positions share a set. Built
+  /// once per payload, on first use.
+  struct TargetOwners {
+    std::vector<OwnerSet> sets;
+    bool distinct = false;
+  };
+  const TargetOwners& target_owners() const;
 
   /// Accessors for kConstructed payloads.
   const AlignmentFunction& alignment() const;

@@ -15,10 +15,17 @@
 // thousands of runs holds a handful of sets — and a run names its set by a
 // 32-bit id, which keeps a run at 24 bytes. Consumers iterate runs instead
 // of elements, so one ownership decision covers a whole contiguous
-// segment; the charge walks go one step further and sum segment counts per
-// pair of set ids (SetPairCounts), so one priced communication event
-// covers every segment of an owner-set pair. parent_index() recovers a
-// run's parent-domain indices from its position.
+// segment. parent_index() recovers a run's parent-domain indices from its
+// position.
+//
+// The charge walks (exec/pricing.hpp), storage accounting and
+// same_mapping do not expand formats layouts into tables at all: they
+// read per-owner-set-pair counts composed one dimension at a time
+// (core/pair_counts.hpp). A table is walked — two tables in lock step,
+// summing segment counts per pair of set ids (SetPairCounts) — only for a
+// side whose owners are not a per-dimension product: a non-identity
+// alignment or a section view. Tables also back the owners() shim, the
+// checkpoint and recovery walks, and the benchmarks' construction probes.
 //
 // Run tables are computed
 //   * analytically for kFormats payloads: each dimension's constant-owner
@@ -201,26 +208,32 @@ inline SmallVector<Extent, 256> set_counts(const RunTable& table) {
   return sums;
 }
 
-/// Element counts summed per (set id in a, set id in b) pair of two tables
-/// over one position space. The ids index two different pools, so equal
-/// ids do not mean equal sets. The counts live in a dense na x nb matrix
-/// when na * nb <= max(runs(a) + runs(b), kInline), so its memory and its
-/// scan stay within the walk's own size or a small constant (kInline
-/// counts are held inline: a small walk allocates nothing); otherwise —
-/// thousands of distinct user-defined sets — in a hashed table keyed by
-/// the packed id pair. The choice is a function of the two tables alone.
+/// Element counts summed per (set id in a, set id in b) pair over two set
+/// pools — two run tables' pools, or the per-side pools of a PairCounts
+/// (core/pair_counts.hpp). The ids index two different pools, so equal ids
+/// do not mean equal sets. The counts live in a dense na x nb matrix when
+/// na * nb <= max(walk, kInline), where `walk` is the number of adds the
+/// producer can make (the two tables' runs), so its memory and its scan
+/// stay within the walk's own size or a small constant (kInline counts are
+/// held inline: a small walk allocates nothing); otherwise — thousands of
+/// distinct user-defined sets — in a hashed table keyed by the packed id
+/// pair. The choice is a function of the pools and the walk alone.
 class SetPairCounts {
  public:
   static constexpr std::size_t kInline = 256;
 
-  SetPairCounts(const RunTable& a, const RunTable& b)
+  SetPairCounts(const std::vector<OwnerSet>& a, const std::vector<OwnerSet>& b,
+                std::size_t walk)
       : a_(&a),
         b_(&b),
-        nb_(b.sets.size()),
-        dense_(static_cast<std::uint64_t>(a.sets.size()) * nb_ <=
-               std::max(a.runs.size() + b.runs.size(), kInline)) {
-    if (dense_) counts_.resize(a.sets.size() * nb_, 0);
+        nb_(b.size()),
+        dense_(static_cast<std::uint64_t>(a.size()) * nb_ <=
+               std::max(walk, kInline)) {
+    if (dense_) counts_.resize(a.size() * nb_, 0);
   }
+
+  SetPairCounts(const RunTable& a, const RunTable& b)
+      : SetPairCounts(a.sets, b.sets, a.runs.size() + b.runs.size()) {}
 
   /// Whether the counts live in the dense matrix (else the hashed table).
   bool dense() const noexcept { return dense_; }
@@ -233,16 +246,16 @@ class SetPairCounts {
     }
   }
 
-  /// Calls fn(sum, a.sets[ia], b.sets[ib]) once per pair with a nonzero
-  /// sum, in ascending (ia, ib) order.
+  /// Calls fn(sum, a[ia], b[ib]) once per pair with a nonzero sum, in
+  /// ascending (ia, ib) order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
     auto emit = [&](std::size_t ia, std::size_t ib, Extent sum) {
-      fn(sum, a_->sets[ia], b_->sets[ib]);
+      fn(sum, (*a_)[ia], (*b_)[ib]);
     };
     if (dense_) {
       std::size_t k = 0;
-      for (std::size_t ia = 0; ia < a_->sets.size(); ++ia) {
+      for (std::size_t ia = 0; ia < a_->size(); ++ia) {
         for (std::size_t ib = 0; ib < nb_; ++ib, ++k) {
           if (counts_[k] != 0) emit(ia, ib, counts_[k]);
         }
@@ -255,26 +268,12 @@ class SetPairCounts {
   }
 
  private:
-  const RunTable* a_;
-  const RunTable* b_;
+  const std::vector<OwnerSet>* a_;
+  const std::vector<OwnerSet>* b_;
   std::size_t nb_;
   bool dense_;
   SmallVector<Extent, kInline> counts_;
   StepAccumTable<std::uint64_t, Extent> hashed_;
 };
-
-/// Walks two tables (for_each_common_segment_ids) and calls
-/// fn(count, owners_a, owners_b) once per distinct owner-set pair with the
-/// pair's summed element count, in ascending id order (SetPairCounts) —
-/// O(distinct pairs) calls, not O(segments).
-template <typename Fn>
-void for_each_set_pair(const RunTable& a, const RunTable& b, Fn&& fn) {
-  SetPairCounts counts(a, b);
-  for_each_common_segment_ids(
-      a, b, [&](Extent, Extent count, std::uint32_t ia, std::uint32_t ib) {
-        counts.add(ia, ib, count);
-      });
-  counts.for_each(fn);
-}
 
 }  // namespace hpfnt

@@ -45,12 +45,13 @@ struct AssignResult {
   /// computing owner already held). Together with step.element_transfers
   /// this is the assignment's total read count, whatever the leaf count.
   Extent local_reads = 0;
-  /// Per-element payload probes spent pricing this assignment: the
-  /// ownership queries of the run tables built cold, 0 when the priced
-  /// schedule was replayed from the plan cache (exec/comm_plan.hpp).
+  /// Per-element payload probes behind this assignment's cold pricing: the
+  /// probes of the segment lists (or run tables) its sections read, counted
+  /// whether or not they were memoized; 0 when the priced schedule was
+  /// replayed from the plan cache (exec/comm_plan.hpp).
   Extent ownership_queries = 0;
   /// Wall time of the pricing pass alone (plan lookup + replay, or the
-  /// cold run-table walk), excluding numerics and the result writeback.
+  /// cold charge walk), excluding numerics and the result writeback.
   Extent pricing_ns = 0;
   /// Fraction of RHS element reads that crossed processors.
   double remote_read_fraction = 0.0;

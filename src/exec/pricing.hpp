@@ -19,17 +19,25 @@
 // produced by the same code the executor runs, so they cannot drift —
 // tests/test_cost_model.cpp checks the byte-exact equality anyway.
 //
+// Every walk charges once per distinct owner-set pair, from the pair
+// counts of core/pair_counts.hpp: for formats layouts (and arrays
+// identity-aligned to one) they are composed per dimension without a run
+// table; only a non-identity alignment or a section view is counted by
+// walking run tables. The executor and the cost model read the same
+// counts.
+//
 // The Engine concept: transfer_block(src, dst, elem_bytes, count),
 // count_local_reads(n), compute(p, flops), begin_posted(), end_posted().
 // CommEngine satisfies it directly.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/data_env.hpp"
-#include "core/layout_view.hpp"
+#include "core/pair_counts.hpp"
 #include "core/types.hpp"
 #include "exec/comm_plan.hpp"
 #include "exec/overlap.hpp"
@@ -40,25 +48,29 @@ namespace hpfnt {
 
 /// The owner-computes charge stream of one assignment step (pass 2 of
 /// exec/assign.cpp): per distinct (LHS owner set, operand owner set) pair
-/// of the LHS and each operand, with the element count summed over the
-/// common segments the pair covers (for_each_set_pair), the computing
-/// (canonical minimum) LHS owner reads locally or receives one block
-/// transfer; leaves flagged `posted` charge inside a posted phase (halo
-/// exchange overlapped with compute); finally each LHS owner set charges
-/// its compute and broadcasts to replicas beyond the computing owner, once
-/// per set with the set's summed count. The engine only adds integers per
-/// pair, per processor and into its local reads, so the summed charges
-/// price exactly as per-segment ones would. `leaf_bytes[l]` is operand l's
+/// of the LHS and each operand, with the pair's element count
+/// (PairCounts, core/pair_counts.hpp), the computing (canonical minimum)
+/// LHS owner reads locally or receives one block transfer; leaves flagged
+/// `posted` charge inside a posted phase (halo exchange overlapped with
+/// compute); finally each LHS owner set charges its compute and broadcasts
+/// to replicas beyond the computing owner, once per set with the set's
+/// count (SectionCounts). The engine only adds integers per pair, per
+/// processor and into its local reads, so the summed charges price
+/// exactly as per-segment ones would. `leaf_bytes[l]` is operand l's
 /// element size, `elem_bytes` the LHS's, `flops` the per-element cost of
-/// the RHS.
+/// the RHS. Returns the ownership queries of the lists (or run tables)
+/// read, one count per section.
 template <class Engine>
-void charge_assign_step(const LayoutView& lhs_view,
-                        const std::vector<LayoutView>& leaf_views,
-                        const std::vector<Extent>& leaf_bytes,
-                        const std::vector<char>& posted, Extent elem_bytes,
-                        Extent flops, Engine& engine) {
-  const RunTable& lhs = lhs_view.table();
-  const SmallVector<Extent, 256> lhs_counts = set_counts(lhs);
+Extent charge_assign_step(const MappedSection& lhs,
+                          const std::vector<MappedSection>& leaves,
+                          const std::vector<Extent>& leaf_bytes,
+                          const std::vector<char>& posted, Extent elem_bytes,
+                          Extent flops, Engine& engine) {
+  const SectionCounts lhs_counts(*lhs.dist, *lhs.section);
+  const std::vector<OwnerSet>& lhs_sets = lhs_counts.sets();
+  const std::vector<Extent>& counts = lhs_counts.counts();
+  Extent queries = lhs_counts.ownership_queries();
+  const Extent lhs_size = section_size(*lhs.section);
   // The computing processor of a pair is the canonical (minimum) LHS
   // owner; operand elements it does not own arrive as one transfer,
   // carrying the pair's element count.
@@ -71,20 +83,26 @@ void charge_assign_step(const LayoutView& lhs_view,
       engine.transfer_block(min_owner(leaf_owners), p, bytes, count);
     }
   };
-  for (std::size_t l = 0; l < leaf_views.size(); ++l) {
-    const LayoutView& leaf_view = leaf_views[l];
+  for (std::size_t l = 0; l < leaves.size(); ++l) {
+    const MappedSection& leaf = leaves[l];
     const Extent bytes = leaf_bytes[l];
-    if (leaf_view.size() != lhs_view.size()) {
+    leaf.dist->domain().validate_section(*leaf.section);
+    if (section_size(*leaf.section) != lhs_size) {
       // Conformance admits an empty squeezed RHS shape: a single-element
       // leaf (all unit dimensions, fixed at position 1) broadcast over
       // the whole LHS section. Every LHS element reads that one element.
-      if (leaf_view.size() != 1) {
-        throw InternalError("nonconforming operand run table in assignment");
+      if (section_size(*leaf.section) != 1) {
+        throw InternalError("nonconforming operand section in assignment");
       }
-      const OwnerSet& leaf_owners = leaf_view.owners(leaf_view.runs().front());
-      for (std::size_t i = 0; i < lhs_counts.size(); ++i) {
-        if (lhs_counts[i] != 0) {
-          charge_reads(lhs_counts[i], lhs.sets[i], leaf_owners, bytes);
+      const SectionCounts one(*leaf.dist, *leaf.section);
+      queries += one.ownership_queries();
+      const auto only = std::find_if(one.counts().begin(), one.counts().end(),
+                                     [](Extent c) { return c != 0; });
+      const OwnerSet& leaf_owners =
+          one.sets()[static_cast<std::size_t>(only - one.counts().begin())];
+      for (std::size_t i = 0; i < counts.size(); ++i) {
+        if (counts[i] != 0) {
+          charge_reads(counts[i], lhs_sets[i], leaf_owners, bytes);
         }
       }
       continue;
@@ -92,18 +110,19 @@ void charge_assign_step(const LayoutView& lhs_view,
     // A covered leaf's remote pairs are all halo transfers (the
     // plan==measure property of plan_shift): charge them in the posted
     // phase so they overlap the compute and record as boundary transfers.
+    const PairCounts pairs(lhs, leaf);
+    queries += pairs.queries_b();
     if (posted[l]) engine.begin_posted();
-    for_each_set_pair(lhs, leaf_view.table(),
-                      [&](Extent count, const OwnerSet& lhs_owners,
-                          const OwnerSet& leaf_owners) {
-                        charge_reads(count, lhs_owners, leaf_owners, bytes);
-                      });
+    pairs.for_each([&](Extent count, const OwnerSet& lhs_owners,
+                       const OwnerSet& leaf_owners) {
+      charge_reads(count, lhs_owners, leaf_owners, bytes);
+    });
     if (posted[l]) engine.end_posted();
   }
-  for (std::size_t i = 0; i < lhs_counts.size(); ++i) {
-    const Extent count = lhs_counts[i];
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const Extent count = counts[i];
     if (count == 0) continue;
-    const OwnerSet& owners = lhs.sets[i];
+    const OwnerSet& owners = lhs_sets[i];
     const ApId p = min_owner(owners);
     if (flops > 0) engine.compute(p, flops * count);
     // Replicas beyond the computing owner receive the set's elements.
@@ -111,6 +130,7 @@ void charge_assign_step(const LayoutView& lhs_view,
       if (q != p) engine.transfer_block(p, q, elem_bytes, count);
     }
   }
+  return queries;
 }
 
 /// One operand's mapping as the assignment schedule reads it: its layout
@@ -123,8 +143,8 @@ struct LeafLayout {
 /// The schedule of one assignment step: (1) with `overlap`, leaf l is
 /// posted iff classify_operand_comm says kPosted; (2) with `keyed`, the
 /// plan key (assign_plan_key); (3) `price(key, charge)`, where
-/// `charge(engine)` builds the run tables, runs charge_assign_step into
-/// `engine` and returns the tables' ownership queries. The executor looks
+/// `charge(engine)` runs charge_assign_step into `engine` and returns its
+/// ownership queries. The executor looks
 /// the key up and charges only on a miss; the cost model always charges.
 /// `layout_of(leaf)` gives the leaf's LeafLayout (ProgramState storage in
 /// the executor, the walk's DataEnv in the cost model). Returns the phase
@@ -160,22 +180,19 @@ std::vector<char> schedule_assign(const Distribution& lhs_dist,
   }
 
   // All sections conform, so one linear position space [0, size) indexes
-  // every run table; communication is decided per owner-set pair.
+  // every section; communication is decided per owner-set pair.
   auto charge = [&](auto& engine) -> Extent {
-    const LayoutView lhs_view(lhs_dist, lhs_section);
-    std::vector<LayoutView> leaf_views;
+    std::vector<MappedSection> leaf_sections;
     std::vector<Extent> leaf_bytes;
-    leaf_views.reserve(leaves.size());
+    leaf_sections.reserve(leaves.size());
     leaf_bytes.reserve(leaves.size());
     for (const SecLeaf& leaf : leaves) {
-      leaf_views.emplace_back(*layout_of(leaf).dist, *leaf.section);
+      leaf_sections.push_back({layout_of(leaf).dist, leaf.section});
       leaf_bytes.push_back(leaf.bytes);
     }
-    charge_assign_step(lhs_view, leaf_views, leaf_bytes, posted, elem_bytes,
-                       flops, engine);
-    Extent queries = lhs_view.ownership_queries();
-    for (const LayoutView& v : leaf_views) queries += v.ownership_queries();
-    return queries;
+    return charge_assign_step(MappedSection{&lhs_dist, &lhs_section},
+                              leaf_sections, leaf_bytes, posted, elem_bytes,
+                              flops, engine);
   };
   price(key, charge);
   return posted;
@@ -189,46 +206,25 @@ inline std::string remap_step_label(const RemapEvent& event,
 
 /// The charge stream of one remap step (ProgramState::apply_remap): per
 /// distinct (old owner set, new owner set) pair of the old and new
-/// whole-domain layouts, with the element count summed over the common
-/// segments the pair covers, every new owner lacking the value receives it
-/// from the canonical (minimum) old owner. Elements that stay with an
-/// owner are not charged, not even as local reads: a remap moves data and
-/// reads no operand, unlike assign and copy_section, which count one local
-/// read per element their reader already holds. `on_replica_delta(p,
-/// delta)` reports the replica appearances (+bytes) and disappearances
-/// (-bytes) per common segment, in position order — the executor folds
-/// them per processor (MemoryDeltaFold, whose prefix rise depends on that
-/// order) into memory accounting and the recorded plan's mem_ops; the cost
-/// model passes a no-op (StepStats carries no memory).
-template <class Engine, class ReplicaFn>
+/// whole-domain layouts, with the pair's element count (PairCounts), every
+/// new owner lacking the value receives it from the canonical (minimum) old
+/// owner. Elements that stay with an owner are not charged, not even as
+/// local reads: a remap moves data and reads no operand, unlike assign and
+/// copy_section, which count one local read per element their reader
+/// already holds. With a `fold`, the replica appearances (+bytes) and
+/// disappearances (-bytes) of every element are folded into it per
+/// processor in position order (MemoryDeltaFold, whose prefix rise depends
+/// on that order) — the executor's memory accounting and the recorded
+/// plan's mem_ops; the cost model passes none (StepStats carries no
+/// memory).
+template <class Engine>
 void charge_remap_step(const Distribution& from, const Distribution& to,
                        Extent elem_bytes, Engine& engine,
-                       ReplicaFn&& on_replica_delta) {
-  const LayoutView from_view = LayoutView::whole(from);
-  const LayoutView to_view = LayoutView::whole(to);
-  const RunTable& old_table = from_view.table();
-  const RunTable& new_table = to_view.table();
-  SetPairCounts counts(old_table, new_table);
-  for_each_common_segment_ids(
-      old_table, new_table,
-      [&](Extent, Extent count, std::uint32_t io, std::uint32_t in) {
-        counts.add(io, in, count);
-        // Memory accounting: replicas appear/disappear with the owner sets.
-        const OwnerSet& old_owners = old_table.sets[io];
-        const OwnerSet& new_owners = new_table.sets[in];
-        for (ApId q : new_owners) {
-          if (!owner_set_contains(old_owners, q)) {
-            on_replica_delta(q, elem_bytes * count);
-          }
-        }
-        for (ApId o : old_owners) {
-          if (!owner_set_contains(new_owners, o)) {
-            on_replica_delta(o, -(elem_bytes * count));
-          }
-        }
-      });
-  counts.for_each([&](Extent count, const OwnerSet& old_owners,
-                      const OwnerSet& new_owners) {
+                       MemoryDeltaFold* fold) {
+  const PairCounts pairs({&from, &from.domain().dims()},
+                         {&to, &to.domain().dims()}, fold, elem_bytes);
+  pairs.for_each([&](Extent count, const OwnerSet& old_owners,
+                     const OwnerSet& new_owners) {
     // The sending replica is the canonical (minimum) owner, the convention
     // of Distribution::first_owner and the assignment executor; owner sets
     // are not sorted in general.
@@ -243,27 +239,26 @@ void charge_remap_step(const Distribution& from, const Distribution& to,
 
 /// The charge stream of one section-copy step (ProgramState::copy_section,
 /// the procedure argument path): per distinct (destination set, source
-/// set) pair of the two sections' run tables, with the pair's summed
-/// element count, destination owners that do not already hold the value
-/// receive it from the sources' canonical (minimum) replica; owners that
-/// do hold it are counted as local reads, keeping the read statistics
-/// symmetric with assign.
+/// set) pair of the two sections (PairCounts), with the pair's element
+/// count, destination owners that do not already hold the value receive it
+/// from the sources' canonical (minimum) replica; owners that do hold it
+/// are counted as local reads, keeping the read statistics symmetric with
+/// assign.
 template <class Engine>
-void charge_copy_step(const LayoutView& dst_view, const LayoutView& src_view,
+void charge_copy_step(const MappedSection& dst, const MappedSection& src,
                       Extent elem_bytes, Engine& engine) {
-  for_each_set_pair(
-      dst_view.table(), src_view.table(),
-      [&](Extent count, const OwnerSet& dst_owners,
-          const OwnerSet& src_owners) {
-        const ApId sender = min_owner(src_owners);
-        for (ApId q : dst_owners) {
-          if (owner_set_contains(src_owners, q)) {
-            engine.count_local_reads(count);
-          } else {
-            engine.transfer_block(sender, q, elem_bytes, count);
-          }
-        }
-      });
+  const PairCounts pairs(dst, src);
+  pairs.for_each([&](Extent count, const OwnerSet& dst_owners,
+                     const OwnerSet& src_owners) {
+    const ApId sender = min_owner(src_owners);
+    for (ApId q : dst_owners) {
+      if (owner_set_contains(src_owners, q)) {
+        engine.count_local_reads(count);
+      } else {
+        engine.transfer_block(sender, q, elem_bytes, count);
+      }
+    }
+  });
 }
 
 }  // namespace hpfnt

@@ -37,9 +37,9 @@
 
 namespace hpfnt {
 
-/// One array-section leaf of a SecExpr, exposed so the executor can build
-/// run tables (core/layout_view.hpp) over every operand and charge remote
-/// reads per constant-owner segment instead of per element. The pointers
+/// One array-section leaf of a SecExpr, exposed so the executor can count
+/// owner-set pairs (core/pair_counts.hpp) over every operand and charge
+/// remote reads per pair instead of per element. The pointers
 /// borrow from the expression's nodes and stay valid while it lives.
 struct SecLeaf {
   ArrayId array = kNoArray;

@@ -4,6 +4,7 @@
 #include <array>
 
 #include "core/layout_view.hpp"
+#include "core/pair_counts.hpp"
 #include "exec/overlap.hpp"
 #include "exec/pricing.hpp"
 #include "service/plan_service.hpp"
@@ -59,20 +60,33 @@ const ProgramState::Store& ProgramState::store(ArrayId id) const {
   return it->second;
 }
 
-void ProgramState::account_allocate(const Store& s) {
-  // One pass over the layout's run table counts every replica exactly once
-  // per owner, a whole constant-owner segment at a time.
-  const LayoutView view = LayoutView::whole(s.dist);
-  for (const OwnerRun& r : view.runs()) {
-    for (ApId p : view.owners(r)) memory_.allocate(p, s.elem_bytes * r.count);
+namespace {
+
+// Calls fn(p, bytes) for every owner p of every owner set of the layout,
+// with the bytes of the set's elements: each replica counted once per
+// owner, a whole owner set at a time (SectionCounts: per-dimension counts
+// for formats layouts).
+template <class Fn>
+void for_each_replica_share(const Distribution& dist, Extent elem_bytes,
+                            Fn&& fn) {
+  const SectionCounts counts(dist, dist.domain().dims());
+  for (std::size_t i = 0; i < counts.counts().size(); ++i) {
+    for (ApId p : counts.sets()[i]) fn(p, elem_bytes * counts.counts()[i]);
   }
 }
 
+}  // namespace
+
+void ProgramState::account_allocate(const Store& s) {
+  for_each_replica_share(s.dist, s.elem_bytes, [&](ApId p, Extent bytes) {
+    memory_.allocate(p, bytes);
+  });
+}
+
 void ProgramState::account_release(const Store& s) {
-  const LayoutView view = LayoutView::whole(s.dist);
-  for (const OwnerRun& r : view.runs()) {
-    for (ApId p : view.owners(r)) memory_.release(p, s.elem_bytes * r.count);
-  }
+  for_each_replica_share(s.dist, s.elem_bytes, [&](ApId p, Extent bytes) {
+    memory_.release(p, bytes);
+  });
 }
 
 void ProgramState::account_shadow(const Store& s, bool allocate) {
@@ -338,9 +352,9 @@ StepStats ProgramState::apply_remap(const RemapEvent& event,
     }
   }
 
-  // Cold path: stage, then commit. The run-table walk and the step pricing
+  // Cold path: stage, then commit. The pair counts and the step pricing
   // can throw (conformance checks, fault exhaustion at end_step), so the
-  // replica deltas are only folded during the walk (MemoryDeltaFold: per
+  // replica deltas are only folded while counting (MemoryDeltaFold: per
   // processor, the net change and the largest prefix rise — all a
   // per-processor gauge can observe) and applied once the step has
   // sealed, after the shadow release: the warm path's sequence, from the
@@ -352,14 +366,11 @@ StepStats ProgramState::apply_remap(const RemapEvent& event,
   StepGuard guard(comm_);
   auto rec = std::make_shared<CommPlan>();
   if (cacheable) comm_.record_into(rec);
-  // Walk the two layouts' run tables in lock step: every common segment has
-  // constant owner sets on both sides, so each (mover, destination) pair is
-  // priced once per distinct owner-set pair with the summed element count.
-  // The walk itself is the shared charge_remap_step (exec/pricing.hpp);
-  // only the memory accounting — replicas appearing on new owners,
-  // disappearing from old, folded per segment — is the executor's.
-  charge_remap_step(event.from, event.to, s.elem_bytes, comm_,
-                    [&](ApId p, Extent delta) { fold.add(p, delta); });
+  // The shared charge_remap_step (exec/pricing.hpp) prices each (mover,
+  // destination) pair once per distinct owner-set pair of the two layouts,
+  // with the pair's element count, and folds the replicas appearing on new
+  // owners and disappearing from old ones in position order.
+  charge_remap_step(event.from, event.to, s.elem_bytes, comm_, &fold);
   std::vector<MemoryDelta> mem_ops = fold.ops();
   if (cacheable) rec->mem_ops = mem_ops;
   StepStats step = comm_.end_step();
@@ -421,14 +432,13 @@ StepStats ProgramState::copy_section(const DistArray& dst,
     StepGuard guard(comm_);
     auto rec = std::make_shared<CommPlan>();
     if (cacheable) comm_.record_into(rec);
-    // Charge per distinct owner-set pair of the two sections' run tables
-    // (the shared charge_copy_step, exec/pricing.hpp): destination owners
-    // that do not already hold the value receive the pair's summed
-    // elements from the sources' canonical (minimum) replica; owners that
-    // do hold them read them locally — the statistics assign keeps.
-    const LayoutView dst_view(d.dist, dst_section);
-    const LayoutView src_view(s.dist, src_section);
-    charge_copy_step(dst_view, src_view, d.elem_bytes, comm_);
+    // Charge per distinct owner-set pair of the two sections (the shared
+    // charge_copy_step, exec/pricing.hpp): destination owners that do not
+    // already hold the value receive the pair's elements from the
+    // sources' canonical (minimum) replica; owners that do hold them read
+    // them locally — the statistics assign keeps.
+    charge_copy_step({&d.dist, &dst_section}, {&s.dist, &src_section},
+                     d.elem_bytes, comm_);
     step = comm_.end_step();
     guard.dismiss();
     if (cacheable) publish_plan(key, std::move(rec));

@@ -11,8 +11,8 @@
 // computing processor, replica broadcasts, remaps, argument copies — go
 // through the CommEngine inside an open step, so every mapping decision has
 // a measurable message/byte/time consequence. Ownership is decided in bulk:
-// data-movement steps walk the layouts' constant-owner run tables
-// (core/layout_view.hpp) and price one transfer_block per owner-set pair
+// data-movement steps count positions per pair of owner sets
+// (core/pair_counts.hpp) and price one transfer_block per owner-set pair
 // and receiver (exec/pricing.hpp), and the priced schedules are memoized
 // (exec/comm_plan.hpp) so repeating a step over unchanged layouts replays
 // the plan instead of re-walking anything.

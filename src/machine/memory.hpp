@@ -86,6 +86,17 @@ class MemoryDeltaFold {
     a.rise = std::max(a.rise, a.net);
   }
 
+  /// add() of a stream already folded: `net` in total, its largest
+  /// prefix rise `rise` (>= 0).
+  void add_folded(ApId p, Extent net, Extent rise) {
+    const auto i = static_cast<std::size_t>(p);
+    if (i >= acc_.size()) acc_.resize(i + 1);
+    Acc& a = acc_[i];
+    a.touched = true;
+    a.rise = std::max(a.rise, a.net + rise);
+    a.net += net;
+  }
+
   /// The folded deltas, ascending by processor: {p, rise} then, when it is
   /// nonzero, {p, net - rise}.
   std::vector<MemoryDelta> ops() const {

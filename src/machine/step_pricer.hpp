@@ -6,7 +6,7 @@
 //     StepPricer and seals end_step's statistics from StepPricer::price —
 //     the numbers every recorded CommPlan carries;
 //   * the STATIC COST MODEL (analysis/cost_model.hpp): the analyzer walks
-//     the same run tables with a private StepPricer and calls the same
+//     the same pair counts with a private StepPricer and calls the same
 //     price() — so a predicted StepStats is byte-for-byte the StepStats
 //     the executor would seal, by construction rather than by testing
 //     luck (tests/test_cost_model.cpp checks it anyway, statement for

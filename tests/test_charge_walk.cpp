@@ -1,14 +1,17 @@
 // The shared charge walks (exec/pricing.hpp) charge once per distinct
-// owner-set pair, with the element count summed over the pair's common
-// segments (core/layout_view.hpp SetPairCounts):
+// owner-set pair, with the pair's element count from the per-dimension
+// pair counts of core/pair_counts.hpp (run tables only for sides that are
+// not a formats product):
 //
 //   * exact engine-call counts: a remap or an assign leaf makes at most one
 //     call per (set, set) pair, however many segments the pair covers;
 //   * a golden of the remap_cold sequence's StepStats and memory gauges,
 //     fixed before the walks aggregated, so the summed charges are shown to
-//     price exactly as the per-segment ones did;
-//   * a property test against a test-local per-segment reference over
-//     random run tables, in both the dense and the hashed count regimes.
+//     price exactly as the per-segment ones did — and the same sequence
+//     builds no run table;
+//   * property tests against a test-local per-segment reference over
+//     random run tables: the pair counts, per-set counts, priced stats and
+//     folded memory rows of random formats, sections and arrangements.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +23,7 @@
 
 #include "core/data_env.hpp"
 #include "core/layout_view.hpp"
+#include "core/pair_counts.hpp"
 #include "exec/assign.hpp"
 #include "exec/pricing.hpp"
 #include "exec/redistribute_exec.hpp"
@@ -66,6 +70,17 @@ struct CountingEngine {
   }
 };
 
+/// The distribution and section a view was built over.
+MappedSection of(const LayoutView& view) {
+  return {&view.distribution(), &view.section()};
+}
+
+std::vector<MappedSection> of(const std::vector<LayoutView>& views) {
+  std::vector<MappedSection> out;
+  for (const LayoutView& v : views) out.push_back(of(v));
+  return out;
+}
+
 std::uint64_t bits_of(double d) {
   std::uint64_t u = 0;
   std::memcpy(&u, &d, sizeof u);
@@ -91,7 +106,7 @@ TEST(ChargeWalkCalls, BlockToCyclicRemapCallsTheEngineOncePerPair) {
 
   StepPricer pricer(machine.cost());
   CountingEngine engine(&pricer);
-  charge_remap_step(block, cyclic, 8, engine, [](ApId, Extent) {});
+  charge_remap_step(block, cyclic, 8, engine, /*fold=*/nullptr);
   EXPECT_EQ(engine.transfer_calls, kP * (kP - 1));
   EXPECT_EQ(engine.local_read_calls, 0);
   EXPECT_EQ(engine.compute_calls, 0);
@@ -117,18 +132,24 @@ TEST(ChargeWalkCalls, StencilLeafCallsAreBoundedBySetPairs) {
     return std::vector<Triplet>{Triplet(ilo, ilo + kR - 3),
                                 Triplet(jlo, jlo + kR - 3)};
   };
-  const LayoutView lhs(dist, section(2, 2));
+  const std::vector<Triplet> lhs_section = section(2, 2);
+  const LayoutView lhs(dist, lhs_section);
+  std::vector<std::vector<Triplet>> leaf_sections;
   std::vector<LayoutView> leaves;
   for (const auto& [i, j] : std::vector<std::pair<Index1, Index1>>{
            {1, 2}, {3, 2}, {2, 1}, {2, 3}}) {
-    leaves.emplace_back(dist, section(i, j));
+    leaf_sections.push_back(section(i, j));
+    leaves.emplace_back(dist, leaf_sections.back());
   }
+  std::vector<MappedSection> leaf_maps;
+  for (const auto& s : leaf_sections) leaf_maps.push_back({&dist, &s});
   const std::vector<Extent> bytes(leaves.size(), 8);
   const std::vector<char> posted(leaves.size(), 1);  // one bracket per leaf
 
   StepPricer pricer(machine.cost());
   CountingEngine engine(&pricer);
-  charge_assign_step(lhs, leaves, bytes, posted, 8, 4, engine);
+  charge_assign_step(MappedSection{&dist, &lhs_section}, leaf_maps, bytes,
+                     posted, 8, 4, engine);
   ASSERT_EQ(engine.calls_per_phase.size(), leaves.size());
   const Extent lhs_sets = static_cast<Extent>(lhs.table().sets.size());
   Extent segments = 0;
@@ -178,9 +199,10 @@ using Gauges = std::vector<std::pair<Extent, Extent>>;
 /// One fresh 16-processor session: A and B of 2^14 reals start BLOCK; A is
 /// REDISTRIBUTEd through CYCLIC(1), CYCLIC(8), a fixed GENERAL_BLOCK, an
 /// LCG-seeded INDIRECT and back to BLOCK, with B = A + 1 after each step;
-/// then one cold 5-point stencil on a 128^2 (CYCLIC(2),BLOCK) pair.
-void run_cold_sequence(std::vector<StepRow>& rows,
-                       std::vector<Gauges>& gauges) {
+/// then one cold 5-point stencil on a 128^2 (CYCLIC(2),BLOCK) pair. With
+/// `layouts`, collects every distribution the sequence prices.
+void run_cold_sequence(std::vector<StepRow>& rows, std::vector<Gauges>& gauges,
+                       std::vector<Distribution>* layouts = nullptr) {
   constexpr Extent kN = Extent{1} << 14;
   constexpr Extent kR = 128;
   Machine machine(16);
@@ -223,8 +245,12 @@ void run_cold_sequence(std::vector<StepRow>& rows,
   const SecExpr a_plus_1 = SecExpr::whole(a) + 1.0;
   for (const DistFormat& f : formats) {
     const Extent reads_before = state.comm().local_reads();
-    const std::vector<StepStats> steps =
-        apply_remaps(state, env, env.redistribute(a, {f}, ProcessorRef(q)));
+    const std::vector<RemapEvent> events =
+        env.redistribute(a, {f}, ProcessorRef(q));
+    for (const RemapEvent& e : events) {
+      if (layouts) layouts->insert(layouts->end(), {e.from, e.to});
+    }
+    const std::vector<StepStats> steps = apply_remaps(state, env, events);
     ASSERT_EQ(steps.size(), 1u);
     rows.push_back(row(steps[0], state.comm().local_reads() - reads_before));
     Gauges now;
@@ -253,6 +279,12 @@ void run_cold_sequence(std::vector<StepRow>& rows,
                                 {Triplet(2, kR - 1), Triplet(2, kR - 1)},
                                 stencil, "D");
   rows.push_back(row(r.step, r.local_reads));
+  if (layouts) {
+    for (const DistArray* x : {&a, &b, &c, &d}) {
+      layouts->push_back(state.layout(x->id()));
+      layouts->push_back(env.distribution_of(*x));
+    }
+  }
 }
 
 // Recorded from the per-segment charge walks, before they summed per pair.
@@ -304,6 +336,22 @@ TEST(ChargeWalkGolden, ColdRemapSequenceKeepsItsStatsAndGauges) {
   ASSERT_EQ(gauges.size(), kGoldenGauges.size());
   for (std::size_t k = 0; k < gauges.size(); ++k) {
     EXPECT_EQ(gauges[k], kGoldenGauges[k]) << "remap " << k;
+  }
+}
+
+TEST(ChargeWalkGolden, ColdRemapSequenceBuildsNoRunTable) {
+  // Every layout of the sequence is a formats payload, so creation, the
+  // remaps, the assigns and the stencil price from per-dimension segment
+  // lists: no payload memoizes a whole-domain or a section run table.
+  std::vector<StepRow> rows;
+  std::vector<Gauges> gauges;
+  std::vector<Distribution> layouts;
+  run_cold_sequence(rows, gauges, &layouts);
+  ASSERT_EQ(layouts.size(), 2 * 5 + 2 * 4u);
+  for (std::size_t k = 0; k < layouts.size(); ++k) {
+    SCOPED_TRACE(cat("layout ", k));
+    EXPECT_EQ(layouts[k].run_memo().whole_table(), nullptr);
+    EXPECT_EQ(layouts[k].run_memo().size(), 0u);
   }
 }
 
@@ -381,6 +429,27 @@ void ref_remap(const Distribution& from, const Distribution& to,
       });
 }
 
+/// The remap's replica deltas of two section tables, per common segment in
+/// position order.
+void ref_fold(const RunTable& from, const RunTable& to, Extent elem_bytes,
+              MemoryDeltaFold& fold) {
+  for_each_common_segment(
+      from, to,
+      [&](Extent, Extent count, const OwnerSet& old_owners,
+          const OwnerSet& new_owners) {
+        for (ApId q : new_owners) {
+          if (!owner_set_contains(old_owners, q)) {
+            fold.add(q, elem_bytes * count);
+          }
+        }
+        for (ApId o : old_owners) {
+          if (!owner_set_contains(new_owners, o)) {
+            fold.add(o, -(elem_bytes * count));
+          }
+        }
+      });
+}
+
 template <class Engine>
 void ref_copy(const LayoutView& dst_view, const LayoutView& src_view,
               Extent elem_bytes, Engine& engine) {
@@ -405,13 +474,17 @@ std::vector<ApId> members(const OwnerSet& set) {
   return std::vector<ApId>(set.begin(), set.end());
 }
 
-/// Per-pair sums as for_each_set_pair emits them; also checks that each
-/// pair comes once, in ascending id order.
+/// Per-pair sums as SetPairCounts emits them over two tables' common
+/// segments; also checks that each pair comes once, in ascending id order.
 std::map<SetKey, Extent> pair_sums(const RunTable& a, const RunTable& b) {
   std::map<SetKey, Extent> out;
   std::pair<std::ptrdiff_t, std::ptrdiff_t> last(-1, -1);
-  for_each_set_pair(a, b, [&](Extent count, const OwnerSet& sa,
-                              const OwnerSet& sb) {
+  SetPairCounts counts(a, b);
+  for_each_common_segment_ids(
+      a, b, [&](Extent, Extent count, std::uint32_t ia, std::uint32_t ib) {
+        counts.add(ia, ib, count);
+      });
+  counts.for_each([&](Extent count, const OwnerSet& sa, const OwnerSet& sb) {
     const std::pair<std::ptrdiff_t, std::ptrdiff_t> ids(&sa - a.sets.data(),
                                                         &sb - b.sets.data());
     EXPECT_LT(last, ids) << "pairs out of id order";
@@ -430,6 +503,41 @@ std::map<SetKey, Extent> ref_pair_sums(const RunTable& a, const RunTable& b) {
       a, b, [&](Extent, Extent count, const OwnerSet& sa, const OwnerSet& sb) {
         out[SetKey(members(sa), members(sb))] += count;
       });
+  return out;
+}
+
+/// Per-pair counts as PairCounts emits them; also checks that each pair
+/// comes once, with a positive count.
+std::map<SetKey, Extent> primitive_pair_sums(const MappedSection& a,
+                                             const MappedSection& b) {
+  std::map<SetKey, Extent> out;
+  const PairCounts pairs(a, b);
+  pairs.for_each([&](Extent count, const OwnerSet& sa, const OwnerSet& sb) {
+    EXPECT_GT(count, 0);
+    EXPECT_TRUE(out.emplace(SetKey(members(sa), members(sb)), count).second)
+        << "pair emitted twice";
+  });
+  return out;
+}
+
+/// Per-set counts of SectionCounts, and of a run table.
+std::map<std::vector<ApId>, Extent> primitive_set_sums(
+    const Distribution& dist, const std::vector<Triplet>& section) {
+  std::map<std::vector<ApId>, Extent> out;
+  const SectionCounts counts(dist, section);
+  for (std::size_t i = 0; i < counts.sets().size(); ++i) {
+    if (counts.counts()[i] != 0) {
+      EXPECT_TRUE(out.emplace(members(counts.sets()[i]), counts.counts()[i])
+                      .second)
+          << "set pooled twice";
+    }
+  }
+  return out;
+}
+
+std::map<std::vector<ApId>, Extent> ref_set_sums(const RunTable& table) {
+  std::map<std::vector<ApId>, Extent> out;
+  for (const OwnerRun& r : table.runs) out[members(table.owners(r))] += r.count;
   return out;
 }
 
@@ -470,6 +578,109 @@ class PairWalkProperty : public ::testing::Test {
   PairWalkProperty() : machine_(kP), ps_(kP) {
     ps_.declare("Q", IndexDomain::of_extents({kP}));
     ps_.declare("G", IndexDomain::of_extents({2, 4}));
+    ps_.declare("H", IndexDomain::of_extents({4, 2}));
+    ps_.declare("T", IndexDomain::of_extents({3}));
+    ps_.declare("R", IndexDomain::of_extents({2, 2, 2}));
+  }
+
+  /// Any format for an extent-n dimension over np positions: BLOCK,
+  /// VIENNA_BLOCK, GENERAL_BLOCK with empty blocks, CYCLIC(k) with k·np
+  /// below and above n, INDIRECT, or replicating.
+  DistFormat any_format(Rng& rng, Extent n, Extent np) {
+    switch (rng.uniform(0, 6)) {
+      case 0:
+        return DistFormat::block();
+      case 1:
+        return DistFormat::vienna_block();
+      case 2: {
+        // Few busy blocks: most of the np blocks stay empty.
+        std::vector<Extent> sizes(static_cast<std::size_t>(np), 0);
+        const Extent busy = rng.uniform(1, np);
+        for (Extent k = 0; k < n; ++k) {
+          ++sizes[static_cast<std::size_t>(rng.uniform(0, busy - 1))];
+        }
+        return DistFormat::general_block_sizes(sizes);
+      }
+      case 3:
+        return DistFormat::cyclic(rng.uniform(1, 3));
+      case 4:
+        return DistFormat::cyclic(n / np + rng.uniform(1, 3));
+      case 5: {
+        std::vector<Extent> owner(static_cast<std::size_t>(n));
+        for (Extent& o : owner) o = rng.uniform(1, np);
+        return DistFormat::indirect(owner);
+      }
+      default:
+        return replicating_format(rng.next());
+    }
+  }
+
+  /// A random formats distribution of `dom` (rank >= 1) onto an
+  /// arrangement of rank <= dom's; the dimensions not distributed are
+  /// collapsed.
+  Distribution random_formats(Rng& rng, const IndexDomain& dom) {
+    std::vector<const char*> names;
+    for (const char* name : {"Q", "T", "G", "H", "R"}) {
+      if (ps_.find(name).domain().rank() <= dom.rank()) names.push_back(name);
+    }
+    const ProcessorArrangement& target = ps_.find(
+        names[static_cast<std::size_t>(
+            rng.uniform(0, static_cast<Extent>(names.size()) - 1))]);
+    // Distribute a random subset of the dimensions, one per target dim.
+    std::vector<int> dims(static_cast<std::size_t>(dom.rank()));
+    for (int d = 0; d < dom.rank(); ++d) dims[static_cast<std::size_t>(d)] = d;
+    for (std::size_t k = dims.size(); k > 1; --k) {
+      std::swap(dims[k - 1],
+                dims[static_cast<std::size_t>(
+                    rng.uniform(0, static_cast<Extent>(k) - 1))]);
+    }
+    dims.resize(static_cast<std::size_t>(target.domain().rank()));
+    std::sort(dims.begin(), dims.end());
+    std::vector<DistFormat> formats(static_cast<std::size_t>(dom.rank()),
+                                    DistFormat::collapsed());
+    for (std::size_t t = 0; t < dims.size(); ++t) {
+      const int d = dims[t];
+      formats[static_cast<std::size_t>(d)] =
+          any_format(rng, dom.extent(d), target.domain().extent(static_cast<int>(t)));
+    }
+    return Distribution::formats(dom, std::move(formats), ProcessorRef(target));
+  }
+
+  /// A domain of rank 1-3 and a section of it whose squeezed shape is
+  /// `shape`: unit dimensions at random places, shifted lower bounds,
+  /// strides of either sign.
+  static std::pair<IndexDomain, std::vector<Triplet>> random_section(
+      Rng& rng, const std::vector<Extent>& shape) {
+    const Extent m = static_cast<Extent>(shape.size());
+    const int rank = static_cast<int>(std::max<Extent>(1, rng.uniform(m, 3)));
+    std::vector<char> wide(static_cast<std::size_t>(rank), 0);
+    for (Extent k = 0; k < m; ++k) wide[static_cast<std::size_t>(k)] = 1;
+    for (std::size_t k = wide.size(); k > 1; --k) {
+      std::swap(wide[k - 1], wide[static_cast<std::size_t>(
+                                 rng.uniform(0, static_cast<Extent>(k) - 1))]);
+    }
+    std::vector<Triplet> dims;
+    std::vector<Triplet> section;
+    std::size_t next = 0;
+    for (int d = 0; d < rank; ++d) {
+      const Index1 lo = rng.uniform(-3, 3);
+      if (!wide[static_cast<std::size_t>(d)]) {
+        const Extent n = rng.uniform(1, 5);
+        dims.emplace_back(lo, lo + n - 1);
+        section.push_back(Triplet::single(lo + rng.uniform(0, n - 1)));
+        continue;
+      }
+      const Extent e = shape[next++];
+      const Index1 step = rng.uniform(1, 2);
+      const Extent span = (e - 1) * step + 1;
+      const Extent n = span + rng.uniform(0, 5);
+      dims.emplace_back(lo, lo + n - 1);
+      const Index1 first = lo + rng.uniform(0, n - span);
+      section.push_back(rng.uniform(0, 1) == 0
+                            ? Triplet(first, first + span - 1, step)
+                            : Triplet(first + span - 1, first, -step));
+    }
+    return {IndexDomain(std::move(dims)), std::move(section)};
   }
 
   /// A random single-owner format for an extent-n dimension over np
@@ -544,7 +755,7 @@ class PairWalkProperty : public ::testing::Test {
       StepPricer want(machine_.cost());
       CountingEngine ge(&got);
       CountingEngine we(&want);
-      charge_copy_step(va, vb, 8, ge);
+      charge_copy_step(of(va), of(vb), 8, ge);
       ref_copy(va, vb, 8, we);
       expect_same_pricing(got, want);
     }
@@ -556,8 +767,7 @@ class PairWalkProperty : public ::testing::Test {
       CountingEngine we(&want);
       MemoryDeltaFold got_fold;
       MemoryDeltaFold want_fold;
-      charge_remap_step(a, b, 8, ge,
-                        [&](ApId p, Extent d) { got_fold.add(p, d); });
+      charge_remap_step(a, b, 8, ge, &got_fold);
       ref_remap(a, b, 8, we, want_fold);
       expect_same_pricing(got, want);
       EXPECT_TRUE(same_ops(got_fold.ops(), want_fold.ops()));
@@ -570,8 +780,8 @@ class PairWalkProperty : public ::testing::Test {
       StepPricer want(machine_.cost());
       CountingEngine ge(&got);
       CountingEngine we(&want);
-      charge_assign_step(va, leaves, std::vector<Extent>(3, 4), posted, 8, 3,
-                         ge);
+      charge_assign_step(of(va), of(leaves), std::vector<Extent>(3, 4), posted,
+                         8, 3, ge);
       ref_assign(va, leaves, 4, posted, 8, 3, we);
       expect_same_pricing(got, want);
     }
@@ -603,6 +813,85 @@ TEST_F(PairWalkProperty, RandomTablesMatchThePerSegmentWalks) {
   EXPECT_GT(hashed, 0);
 }
 
+TEST_F(PairWalkProperty, RandomSectionsMatchThePerSegmentWalks) {
+  // Conforming sections of two random formats layouts, ranks 1-3, over
+  // arrangements of different shapes: the per-dimension pair counts, the
+  // per-set counts, the charges and the position-order memory fold equal
+  // those of the two run tables' per-segment walks.
+  Rng rng(1993);
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE(cat("trial ", trial));
+    std::vector<Extent> shape(static_cast<std::size_t>(rng.uniform(0, 3)));
+    // Long rank-1 sections let whole CYCLIC periods fit inside a block.
+    const Extent widest[] = {0, 60, 15, 7};
+    for (Extent& e : shape) e = rng.uniform(2, widest[shape.size()]);
+    const auto [dom_a, sec_a] = random_section(rng, shape);
+    const auto [dom_b, sec_b] = random_section(rng, shape);
+    const Distribution a = random_formats(rng, dom_a);
+    const Distribution b = random_formats(rng, dom_b);
+    SCOPED_TRACE(cat(a.to_string(), " x ", b.to_string()));
+    const MappedSection ma{&a, &sec_a};
+    const MappedSection mb{&b, &sec_b};
+    const RunTable ta = LayoutView::compute(a, sec_a);
+    const RunTable tb = LayoutView::compute(b, sec_b);
+
+    EXPECT_EQ(primitive_set_sums(a, sec_a), ref_set_sums(ta));
+    EXPECT_EQ(primitive_pair_sums(ma, mb), ref_pair_sums(ta, tb));
+    {
+      SCOPED_TRACE("fold");
+      MemoryDeltaFold got;
+      MemoryDeltaFold want;
+      const PairCounts pairs(ma, mb, &got, 8);
+      ref_fold(ta, tb, 8, want);
+      EXPECT_TRUE(same_ops(got.ops(), want.ops()));
+    }
+    const LayoutView va(a, sec_a);
+    const LayoutView vb(b, sec_b);
+    {
+      SCOPED_TRACE("copy");
+      StepPricer got(machine_.cost());
+      StepPricer want(machine_.cost());
+      CountingEngine ge(&got);
+      CountingEngine we(&want);
+      charge_copy_step(ma, mb, 8, ge);
+      ref_copy(va, vb, 8, we);
+      expect_same_pricing(got, want);
+    }
+    {
+      SCOPED_TRACE("assign");
+      // b's section, a's own, and one element of b broadcast.
+      const auto [dom_one, sec_one] = random_section(rng, {});
+      const Distribution one = random_formats(rng, dom_one);
+      const std::vector<LayoutView> leaves = {vb, va,
+                                              LayoutView(one, sec_one)};
+      const std::vector<char> posted = {1, 0, 0};
+      StepPricer got(machine_.cost());
+      StepPricer want(machine_.cost());
+      CountingEngine ge(&got);
+      CountingEngine we(&want);
+      const Extent queries = charge_assign_step(
+          ma, of(leaves), std::vector<Extent>(3, 4), posted, 8, 3, ge);
+      ref_assign(va, leaves, 4, posted, 8, 3, we);
+      expect_same_pricing(got, want);
+      EXPECT_GT(queries, 0);
+    }
+    {
+      SCOPED_TRACE("remap");
+      const Distribution to = random_formats(rng, dom_a);
+      StepPricer got(machine_.cost());
+      StepPricer want(machine_.cost());
+      CountingEngine ge(&got);
+      CountingEngine we(&want);
+      MemoryDeltaFold got_fold;
+      MemoryDeltaFold want_fold;
+      charge_remap_step(a, to, 8, ge, &got_fold);
+      ref_remap(a, to, 8, we, want_fold);
+      expect_same_pricing(got, want);
+      EXPECT_TRUE(same_ops(got_fold.ops(), want_fold.ops()));
+    }
+  }
+}
+
 TEST_F(PairWalkProperty, SizeZeroAndSizeOneTables) {
   const Distribution block = Distribution::formats(
       IndexDomain{Dim(16)}, {DistFormat::block()}, ProcessorRef(ps_.find("Q")));
@@ -615,8 +904,8 @@ TEST_F(PairWalkProperty, SizeZeroAndSizeOneTables) {
   EXPECT_TRUE(pair_sums(empty_a.table(), empty_b.table()).empty());
   StepPricer pricer(machine_.cost());
   CountingEngine engine(&pricer);
-  charge_copy_step(empty_a, empty_b, 8, engine);
-  charge_assign_step(empty_a, {empty_b}, {8}, {0}, 8, 2, engine);
+  charge_copy_step(of(empty_a), of(empty_b), 8, engine);
+  charge_assign_step(of(empty_a), {of(empty_b)}, {8}, {0}, 8, 2, engine);
   const StepStats none = pricer.price("empty");
   EXPECT_EQ(none.messages, 0);
   EXPECT_EQ(none.flops, 0);
@@ -638,8 +927,8 @@ TEST_F(PairWalkProperty, SizeZeroAndSizeOneTables) {
       StepPricer want(machine_.cost());
       CountingEngine ge(&got);
       CountingEngine we(&want);
-      charge_assign_step(whole, leaves, std::vector<Extent>(3, 8), posted, 8,
-                         5, ge);
+      charge_assign_step(of(whole), of(leaves), std::vector<Extent>(3, 8),
+                         posted, 8, 5, ge);
       ref_assign(whole, leaves, 8, posted, 8, 5, we);
       expect_same_pricing(got, want);
     }
@@ -692,8 +981,7 @@ TEST_F(PairWalkProperty, ThousandsOfSetsTakeTheHashedRegime) {
     CountingEngine we(&want);
     MemoryDeltaFold got_fold;
     MemoryDeltaFold want_fold;
-    charge_remap_step(*from, *to, 8, ge,
-                      [&](ApId p, Extent d) { got_fold.add(p, d); });
+    charge_remap_step(*from, *to, 8, ge, &got_fold);
     ref_remap(*from, *to, 8, we, want_fold);
     expect_same_pricing(got, want);
     EXPECT_TRUE(same_ops(got_fold.ops(), want_fold.ops()));
@@ -703,7 +991,7 @@ TEST_F(PairWalkProperty, ThousandsOfSetsTakeTheHashedRegime) {
     CountingEngine ga(&got_a);
     CountingEngine wa(&want_a);
     const std::vector<LayoutView> leaves = {vt, vf};
-    charge_assign_step(vf, leaves, {8, 8}, {1, 0}, 8, 2, ga);
+    charge_assign_step(of(vf), of(leaves), {8, 8}, {1, 0}, 8, 2, ga);
     ref_assign(vf, leaves, 8, {1, 0}, 8, 2, wa);
     expect_same_pricing(got_a, want_a);
   }

@@ -1151,11 +1151,12 @@ TEST_F(PlanReplayTest, AlignedJacobiHundredIterationsReplaysWithZeroQueries) {
 // --- the E3 exact-count gate: ownership queries of a cold aligned step -----
 
 TEST_F(PlanReplayTest, ExecColdStepOwnershipQueriesMatchE3) {
-  // bench_iterative_sweep's E3 rig, plans off: once both sweep directions
-  // are primed, a cold step of B identity-ALIGN-ed with A spends exactly
-  // the 24 probes of the tables it builds (B's views hold A's run tables),
-  // at every n; the DISTRIBUTE-d twin's A -> B step, the one the bench
-  // reports, spends 32.
+  // bench_iterative_sweep's E3 rig, plans off: a cold step reads, for each
+  // of its five sections (the LHS and four shifted leaves), the two
+  // per-dimension segment lists of its BLOCK layout — four probes each,
+  // one per block the triplet crosses — whether the list was memoized or
+  // not. B identity-ALIGN-ed with A reads A's lists, so both rigs spend
+  // exactly 40 probes per cold step, in both sweep directions, at every n.
   for (const Extent n : {64, 128, 256}) {
     for (const bool aligned : {true, false}) {
       SCOPED_TRACE(cat("n=", n, aligned ? " aligned" : " distributed"));
@@ -1177,11 +1178,8 @@ TEST_F(PlanReplayTest, ExecColdStepOwnershipQueriesMatchE3) {
       state.create(env, b);
       jacobi_step(state, env, a, b, n);  // prime both sweep directions
       jacobi_step(state, env, b, a, n);
-      EXPECT_EQ(jacobi_step(state, env, a, b, n).ownership_queries,
-                aligned ? 24 : 32);
-      if (aligned) {
-        EXPECT_EQ(jacobi_step(state, env, b, a, n).ownership_queries, 24);
-      }
+      EXPECT_EQ(jacobi_step(state, env, a, b, n).ownership_queries, 40);
+      EXPECT_EQ(jacobi_step(state, env, b, a, n).ownership_queries, 40);
     }
   }
 }
