@@ -112,18 +112,11 @@ struct Distribution::Payload {
 // --- kFormats ---------------------------------------------------------------
 
 struct Distribution::FormatsPayload final : Distribution::Payload {
-  ~FormatsPayload() override {
-    delete target_owners.load(std::memory_order_acquire);
-  }
-
   IndexDomain array_domain;
   std::vector<DistFormat> format_list;
   ProcessorRef target;
   std::vector<DimMapping> mappings;   // one per array dimension
   std::vector<int> target_dim_of;     // -1 for collapsed dimensions
-  // Distribution::target_owners, published once by CAS like the plan
-  // signature.
-  mutable std::atomic<const TargetOwners*> target_owners{nullptr};
 
   Kind kind() const override { return Kind::kFormats; }
   const IndexDomain& domain() const override { return array_domain; }
@@ -595,39 +588,6 @@ const std::vector<DistFormat>& Distribution::format_list() const {
     throw InternalError("format_list on a non-format distribution");
   }
   return static_cast<const FormatsPayload&>(payload()).format_list;
-}
-
-const Distribution::TargetOwners& Distribution::target_owners() const {
-  if (kind() != Kind::kFormats) {
-    throw InternalError("target_owners on a non-format distribution");
-  }
-  const auto& p = static_cast<const FormatsPayload&>(payload());
-  if (const TargetOwners* built =
-          p.target_owners.load(std::memory_order_acquire)) {
-    return *built;
-  }
-  auto fresh = std::make_unique<TargetOwners>();
-  fresh->sets.reserve(static_cast<std::size_t>(p.target.size()));
-  p.target.domain().for_each([&](const IndexTuple& coords) {
-    OwnerSet set;
-    for (ApId q : p.target.owners_at(coords)) insert_unique(set, q);
-    fresh->sets.push_back(std::move(set));
-  });
-  std::vector<OwnerSet> order = fresh->sets;
-  auto less = [](const OwnerSet& a, const OwnerSet& b) {
-    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
-                                        b.end());
-  };
-  std::sort(order.begin(), order.end(), less);
-  fresh->distinct =
-      std::adjacent_find(order.begin(), order.end()) == order.end();
-  const TargetOwners* expected = nullptr;
-  if (p.target_owners.compare_exchange_strong(expected, fresh.get(),
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_acquire)) {
-    return *fresh.release();
-  }
-  return *expected;  // another thread published first
 }
 
 const ProcessorRef& Distribution::target() const {

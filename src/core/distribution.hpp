@@ -201,16 +201,6 @@ class Distribution {
   const ProcessorRef& target() const;
   const DimMapping& dim_mapping(int dim) const;
 
-  /// kFormats only: the owner set of every position of target(), in
-  /// Fortran order (first dimension fastest) — compose_dim_owners of
-  /// single positions — and whether no two positions share a set. Built
-  /// once per payload, on first use.
-  struct TargetOwners {
-    std::vector<OwnerSet> sets;
-    bool distinct = false;
-  };
-  const TargetOwners& target_owners() const;
-
   /// Accessors for kConstructed payloads.
   const AlignmentFunction& alignment() const;
   const Distribution& base() const;

@@ -38,7 +38,6 @@ struct DimSeq {
   Extent len = 0;                  // section positions
   Extent period = 0;               // positions the list covers
   std::vector<Extent> per_period;  // positions per set id in the list
-  std::vector<Extent> cell;        // per set id: its target-position offset
 
   bool periodic() const { return period < len; }
   const std::vector<DimSegment>& segments() const { return list->segments; }
@@ -58,17 +57,18 @@ std::vector<Extent> prefix_set_counts(const DimSeq& seq, Extent limit) {
   return out;
 }
 
+}  // namespace
+
+namespace detail {
+
 // A kFormats side over one section: a DimSeq per dimension, and the
-// composition of per-dimension set-id tuples into owner-set ids. When every
-// per-dimension set is a single position and the target's positions own
-// pairwise distinct sets, an owner set's id is its target position's index
-// into target_owners() — nothing is composed or interned. Otherwise the
-// side composes each tuple once and interns it into its own pool.
+// composition of per-dimension set-id tuples into owner-set ids — each
+// tuple composed once and interned into the side's pool.
 class FormatsSide {
  public:
   FormatsSide(const Distribution& dist, const std::vector<Triplet>& section,
-              std::vector<OwnerSet>& own)
-      : dist_(dist), own_(own), interner_(own) {
+              std::vector<OwnerSet>& pool)
+      : dist_(dist), pool_(pool), interner_(pool) {
     const IndexDomain& domain = dist.domain();
     domain.validate_section(section);
     const int rank = domain.rank();
@@ -76,7 +76,6 @@ class FormatsSide {
     size_ = section_size(section);
     if (size_ == 0) return;  // an empty section reads no list
     dims_.resize(static_cast<std::size_t>(rank));
-    bool single = true;
     for (int d = 0; d < rank; ++d) {
       const Triplet& t = section[static_cast<std::size_t>(d)];
       const Index1 shift = domain.lower(d) - 1;
@@ -100,31 +99,9 @@ class FormatsSide {
               : norm);
       queries_ += seq.list->probes;
       if (seq.periodic()) seq.per_period = prefix_set_counts(seq, seq.period);
-      if (m.kind() == FormatKind::kCollapsed) continue;
-      coord_dims_.push_back(d);
-      for (const DimOwnerSet& set : seq.list->sets) {
-        single = single && set.size() == 1;
-      }
+      if (m.kind() != FormatKind::kCollapsed) coord_dims_.push_back(d);
+      tuples_ *= seq.list->sets.size();
     }
-    // Only targets no larger than the processor space qualify, which
-    // bounds target_owners() by the processor count: a larger, folded
-    // target shares processors between positions anyway.
-    const ProcessorRef& target = dist.target();
-    if (single &&
-        target.size() <= target.arrangement().space().processor_count() &&
-        dist.target_owners().distinct) {
-      pool_ = &dist.target_owners().sets;
-      Extent stride = 1;  // Fortran order over target positions
-      for (std::size_t c = 0; c < coord_dims_.size(); ++c) {
-        DimSeq& seq = dims_[static_cast<std::size_t>(coord_dims_[c])];
-        for (const DimOwnerSet& set : seq.list->sets) {
-          seq.cell.push_back((set.front() - 1) * stride);
-        }
-        stride *= target.extent(static_cast<int>(c));
-      }
-      return;
-    }
-    for (const DimSeq& seq : dims_) tuples_ *= seq.list->sets.size();
     if (tuples_ <= kDenseTuples) composed_.assign(tuples_, 0);
   }
 
@@ -132,8 +109,8 @@ class FormatsSide {
   const DimSeq& dim(int d) const { return dims_[static_cast<std::size_t>(d)]; }
   Extent size() const { return size_; }
   Extent queries() const { return queries_; }
-  const std::vector<OwnerSet>& pool() const { return *pool_; }
-  const OwnerSet& set(std::uint32_t id) const { return (*pool_)[id]; }
+  const std::vector<OwnerSet>& pool() const { return pool_; }
+  const OwnerSet& set(std::uint32_t id) const { return pool_[id]; }
 
   /// The set ids of a section holding each dimension at its first
   /// position: the fixed ids of unit dimensions.
@@ -148,13 +125,6 @@ class FormatsSide {
   /// The id of the owner set composed from per-dimension set ids (ids[d]
   /// into dimension d's list).
   std::uint32_t compose(const SetIds& ids) {
-    if (pool_ != &own_) {
-      Extent cell = 0;
-      for (int d : coord_dims_) {
-        cell += dim(d).cell[ids[static_cast<std::size_t>(d)]];
-      }
-      return static_cast<std::uint32_t>(cell);
-    }
     std::uint64_t key = 0;
     for (int d = rank() - 1; d >= 0; --d) {
       key = key * dim(d).list->sets.size() + ids[static_cast<std::size_t>(d)];
@@ -178,8 +148,7 @@ class FormatsSide {
   static constexpr std::uint64_t kDenseTuples = 4096;
 
   const Distribution& dist_;
-  std::vector<OwnerSet>& own_;
-  const std::vector<OwnerSet>* pool_ = &own_;
+  const std::vector<OwnerSet>& pool_;
   SetInterner<OwnerSet> interner_;
   std::vector<DimSeq> dims_;
   SmallVector<int, kMaxRank> coord_dims_;
@@ -189,6 +158,12 @@ class FormatsSide {
   std::vector<std::uint32_t> composed_;
   StepAccumTable<std::uint64_t, std::uint32_t> hashed_;
 };
+
+}  // namespace detail
+
+namespace {
+
+using detail::FormatsSide;
 
 // A position in a DimSeq's list, wrapping to the start at its end.
 struct Cursor {
@@ -793,7 +768,8 @@ SmallVector<int, kMaxRank> squeezed_dims(const FormatsSide& side) {
 }  // namespace
 
 SectionCounts::SectionCounts(const Distribution& dist,
-                             const std::vector<Triplet>& section) {
+                             const std::vector<Triplet>& section)
+    : section_{&dist, &section} {
   const Distribution* formats = formats_source(dist);
   if (formats == nullptr) {
     const LayoutView view(dist, section);
@@ -803,8 +779,8 @@ SectionCounts::SectionCounts(const Distribution& dist,
     queries_ = view.ownership_queries();
     return;
   }
-  FormatsSide side(*formats, section, own_);
-  sets_ = &side.pool();
+  side_ = std::make_unique<FormatsSide>(*formats, section, own_);
+  FormatsSide& side = *side_;
   queries_ = side.queries();
   if (side.size() == 0) return;
   // Each dimension alone is a factor of one side: its per-set counts.
@@ -827,43 +803,64 @@ SectionCounts::SectionCounts(const Distribution& dist,
                    if (id >= counts_.size()) counts_.resize(id + 1, 0);
                    counts_[id] += count;
                  });
-  counts_.resize(sets_->size(), 0);
+  counts_.resize(own_.size(), 0);
 }
+
+SectionCounts::~SectionCounts() = default;
 
 PairCounts::PairCounts(const MappedSection& a, const MappedSection& b,
                        MemoryDeltaFold* fold, Extent elem_bytes) {
   const Distribution* fa = formats_source(*a.dist);
   const Distribution* fb = formats_source(*b.dist);
   if (fa == nullptr || fb == nullptr) {
-    // A side whose owners are not a per-dimension product: walk the two
-    // run tables in lock step.
-    const LayoutView va(*a.dist, *a.section);
-    const LayoutView vb(*b.dist, *b.section);
-    const RunTable& ta = va.table();
-    const RunTable& tb = vb.table();
-    own_a_ = ta.sets;
-    own_b_ = tb.sets;
-    queries_a_ = va.ownership_queries();
-    queries_b_ = vb.ownership_queries();
-    counts_.emplace(own_a_, own_b_, ta.runs.size() + tb.runs.size());
-    for_each_common_segment_ids(
-        ta, tb, [&](Extent, Extent count, std::uint32_t ia, std::uint32_t ib) {
-          counts_->add(ia, ib, count);
-          if (fold == nullptr) return;
-          const OwnerSet& from = own_a_[ia];
-          const OwnerSet& to = own_b_[ib];
-          for (ApId q : to) {
-            if (!owner_set_contains(from, q)) fold->add(q, elem_bytes * count);
-          }
-          for (ApId o : from) {
-            if (!owner_set_contains(to, o)) fold->add(o, -(elem_bytes * count));
-          }
-        });
+    walk_tables(a, b, fold, elem_bytes);
     return;
   }
-
   FormatsSide side_a(*fa, *a.section, own_a_);
   FormatsSide side_b(*fb, *b.section, own_b_);
+  count_formats(side_a, side_b, fold, elem_bytes);
+}
+
+PairCounts::PairCounts(SectionCounts& a, const MappedSection& b) {
+  const Distribution* fb = formats_source(*b.dist);
+  if (a.side_ == nullptr || fb == nullptr) {
+    walk_tables(a.section_, b, nullptr, 0);
+    return;
+  }
+  FormatsSide side_b(*fb, *b.section, own_b_);
+  count_formats(*a.side_, side_b, nullptr, 0);
+}
+
+void PairCounts::walk_tables(const MappedSection& a, const MappedSection& b,
+                             MemoryDeltaFold* fold, Extent elem_bytes) {
+  // A side whose owners are not a per-dimension product: walk the two run
+  // tables in lock step.
+  const LayoutView va(*a.dist, *a.section);
+  const LayoutView vb(*b.dist, *b.section);
+  const RunTable& ta = va.table();
+  const RunTable& tb = vb.table();
+  own_a_ = ta.sets;
+  own_b_ = tb.sets;
+  queries_a_ = va.ownership_queries();
+  queries_b_ = vb.ownership_queries();
+  counts_.emplace(own_a_, own_b_, ta.runs.size() + tb.runs.size());
+  for_each_common_segment_ids(
+      ta, tb, [&](Extent, Extent count, std::uint32_t ia, std::uint32_t ib) {
+        counts_->add(ia, ib, count);
+        if (fold == nullptr) return;
+        const OwnerSet& from = own_a_[ia];
+        const OwnerSet& to = own_b_[ib];
+        for (ApId q : to) {
+          if (!owner_set_contains(from, q)) fold->add(q, elem_bytes * count);
+        }
+        for (ApId o : from) {
+          if (!owner_set_contains(to, o)) fold->add(o, -(elem_bytes * count));
+        }
+      });
+}
+
+void PairCounts::count_formats(FormatsSide& side_a, FormatsSide& side_b,
+                               MemoryDeltaFold* fold, Extent elem_bytes) {
   queries_a_ = side_a.queries();
   queries_b_ = side_b.queries();
   if (side_a.size() != side_b.size()) {

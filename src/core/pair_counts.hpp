@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -59,17 +60,21 @@ inline Extent section_size(const std::vector<Triplet>& section) {
   return size;
 }
 
+namespace detail {
+class FormatsSide;  // a formats side's segment lists and composed sets
+}  // namespace detail
+
 /// Positions per owner set of one section: sets()[id] owns counts()[id] of
-/// them. Validates the section.
+/// them. Validates the section. `dist` and `section` must outlive the
+/// counts when a PairCounts reuses them.
 class SectionCounts {
  public:
   SectionCounts(const Distribution& dist, const std::vector<Triplet>& section);
+  ~SectionCounts();
   SectionCounts(const SectionCounts&) = delete;
   SectionCounts& operator=(const SectionCounts&) = delete;
 
-  /// The pool counts() indexes: a pool of the section's own, or the
-  /// payload's target_owners().sets.
-  const std::vector<OwnerSet>& sets() const noexcept { return *sets_; }
+  const std::vector<OwnerSet>& sets() const noexcept { return own_; }
   const std::vector<Extent>& counts() const noexcept { return counts_; }
 
   /// Probes of the segment lists (or the run table) read: a memoized list
@@ -77,8 +82,11 @@ class SectionCounts {
   Extent ownership_queries() const noexcept { return queries_; }
 
  private:
+  friend class PairCounts;
+
+  MappedSection section_;
   std::vector<OwnerSet> own_;
-  const std::vector<OwnerSet>* sets_ = &own_;
+  std::unique_ptr<detail::FormatsSide> side_;  // null when table-counted
   std::vector<Extent> counts_;
   Extent queries_ = 0;
 };
@@ -93,6 +101,10 @@ class PairCounts {
  public:
   PairCounts(const MappedSection& a, const MappedSection& b,
              MemoryDeltaFold* fold = nullptr, Extent elem_bytes = 0);
+  /// The pair counts of a's section and b, reusing a's segment lists and
+  /// composed owner sets: an assignment counts its LHS once for all its
+  /// operands. `a` must outlive this.
+  PairCounts(SectionCounts& a, const MappedSection& b);
   PairCounts(const PairCounts&) = delete;
   PairCounts& operator=(const PairCounts&) = delete;
 
@@ -108,7 +120,12 @@ class PairCounts {
   Extent queries_b() const noexcept { return queries_b_; }
 
  private:
-  std::vector<OwnerSet> own_a_;  // the sides' own pools, when they need one
+  void walk_tables(const MappedSection& a, const MappedSection& b,
+                   MemoryDeltaFold* fold, Extent elem_bytes);
+  void count_formats(detail::FormatsSide& a, detail::FormatsSide& b,
+                     MemoryDeltaFold* fold, Extent elem_bytes);
+
+  std::vector<OwnerSet> own_a_;  // the sides' pools, unless a is reused
   std::vector<OwnerSet> own_b_;
   std::optional<SetPairCounts> counts_;
   Extent queries_a_ = 0;

@@ -6,7 +6,6 @@
 // distinct set once, in a pool, and address it by a 32-bit id.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <unordered_map>
@@ -48,9 +47,7 @@ class SetInterner {
   std::uint32_t intern_single(Value value) {
     if (!is_dense(value)) return intern(Set{value});
     const std::size_t slot = static_cast<std::size_t>(value);
-    if (slot >= dense_.size()) {
-      dense_.resize(std::max(slot + 1, 2 * dense_.size()), kAbsent);
-    }
+    if (slot >= dense_.size()) dense_.resize(slot + 1, kAbsent);
     if (dense_[slot] == kAbsent) dense_[slot] = append(Set{value});
     return dense_[slot];
   }

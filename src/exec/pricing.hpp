@@ -54,7 +54,8 @@ namespace hpfnt {
 /// `posted` charge inside a posted phase (halo exchange overlapped with
 /// compute); finally each LHS owner set charges its compute and broadcasts
 /// to replicas beyond the computing owner, once per set with the set's
-/// count (SectionCounts). The engine only adds integers per pair, per
+/// count (SectionCounts, whose segment lists and composed sets every
+/// leaf's PairCounts reuses). The engine only adds integers per pair, per
 /// processor and into its local reads, so the summed charges price
 /// exactly as per-segment ones would. `leaf_bytes[l]` is operand l's
 /// element size, `elem_bytes` the LHS's, `flops` the per-element cost of
@@ -66,7 +67,7 @@ Extent charge_assign_step(const MappedSection& lhs,
                           const std::vector<Extent>& leaf_bytes,
                           const std::vector<char>& posted, Extent elem_bytes,
                           Extent flops, Engine& engine) {
-  const SectionCounts lhs_counts(*lhs.dist, *lhs.section);
+  SectionCounts lhs_counts(*lhs.dist, *lhs.section);
   const std::vector<OwnerSet>& lhs_sets = lhs_counts.sets();
   const std::vector<Extent>& counts = lhs_counts.counts();
   Extent queries = lhs_counts.ownership_queries();
@@ -110,7 +111,7 @@ Extent charge_assign_step(const MappedSection& lhs,
     // A covered leaf's remote pairs are all halo transfers (the
     // plan==measure property of plan_shift): charge them in the posted
     // phase so they overlap the compute and record as boundary transfers.
-    const PairCounts pairs(lhs, leaf);
+    const PairCounts pairs(lhs_counts, leaf);
     queries += pairs.queries_b();
     if (posted[l]) engine.begin_posted();
     pairs.for_each([&](Extent count, const OwnerSet& lhs_owners,

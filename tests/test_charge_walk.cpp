@@ -506,18 +506,29 @@ std::map<SetKey, Extent> ref_pair_sums(const RunTable& a, const RunTable& b) {
   return out;
 }
 
-/// Per-pair counts as PairCounts emits them; also checks that each pair
-/// comes once, with a positive count.
-std::map<SetKey, Extent> primitive_pair_sums(const MappedSection& a,
-                                             const MappedSection& b) {
+/// Per-pair counts as `pairs` emits them; also checks that each pair comes
+/// once, with a positive count.
+std::map<SetKey, Extent> pair_sums(const PairCounts& pairs) {
   std::map<SetKey, Extent> out;
-  const PairCounts pairs(a, b);
   pairs.for_each([&](Extent count, const OwnerSet& sa, const OwnerSet& sb) {
     EXPECT_GT(count, 0);
     EXPECT_TRUE(out.emplace(SetKey(members(sa), members(sb)), count).second)
         << "pair emitted twice";
   });
   return out;
+}
+
+std::map<SetKey, Extent> primitive_pair_sums(const MappedSection& a,
+                                             const MappedSection& b) {
+  return pair_sums(PairCounts(a, b));
+}
+
+/// The same, with a's side counted first and reused, as an assignment
+/// reuses its LHS.
+std::map<SetKey, Extent> reused_pair_sums(const MappedSection& a,
+                                          const MappedSection& b) {
+  SectionCounts counted(*a.dist, *a.section);
+  return pair_sums(PairCounts(counted, b));
 }
 
 /// Per-set counts of SectionCounts, and of a run table.
@@ -837,6 +848,7 @@ TEST_F(PairWalkProperty, RandomSectionsMatchThePerSegmentWalks) {
 
     EXPECT_EQ(primitive_set_sums(a, sec_a), ref_set_sums(ta));
     EXPECT_EQ(primitive_pair_sums(ma, mb), ref_pair_sums(ta, tb));
+    EXPECT_EQ(reused_pair_sums(ma, mb), ref_pair_sums(ta, tb));
     {
       SCOPED_TRACE("fold");
       MemoryDeltaFold got;
