@@ -281,7 +281,7 @@ class Analyzer : public WalkVisitor {
     const std::optional<std::vector<Extent>> shifts =
         section_shift(lhs_section, leaf_section);
     if (!shifts) return;
-    const Distribution& dist = env_.distribution_of(array);
+    const Distribution& dist = resolve_identity(env_.distribution_of(array));
     if (dist.kind() != Distribution::Kind::kFormats) return;
     for (std::size_t d = 0; d < shifts->size(); ++d) {
       if ((*shifts)[d] == 0) continue;
@@ -303,10 +303,12 @@ class Analyzer : public WalkVisitor {
       const std::vector<Triplet>& leaf_section) const {
     std::optional<std::vector<Extent>> shifts =
         section_shift(lhs_section, leaf_section);
-    const Distribution& dist = env_.distribution_of(array);
-    if (!shifts || lhs_dist.kind() != Distribution::Kind::kFormats ||
+    // An identity alignment is its base's mapping (CONSTRUCT(id, δ) = δ).
+    const Distribution& lhs = resolve_identity(lhs_dist);
+    const Distribution& dist = resolve_identity(env_.distribution_of(array));
+    if (!shifts || lhs.kind() != Distribution::Kind::kFormats ||
         dist.kind() != Distribution::Kind::kFormats ||
-        !lhs_dist.structurally_equal(dist)) {
+        !lhs.structurally_equal(dist)) {
       return std::nullopt;
     }
     bool shifted = false;
@@ -354,7 +356,7 @@ class Analyzer : public WalkVisitor {
       const std::vector<Triplet>& leaf_section,
       const std::map<std::string, std::vector<ShadowWidth>>& stmt_needed,
       int line, int column) {
-    const Distribution& dist = env_.distribution_of(array);
+    const Distribution& dist = resolve_identity(env_.distribution_of(array));
     const std::vector<ShadowWidth>& declared = array.shadow();
     std::string shortfall;
     for (std::size_t d = 0; d < shifts.size(); ++d) {

@@ -21,11 +21,16 @@ AlignmentFunction::AlignmentFunction(IndexDomain alignee_domain,
                                " base subscripts for a base of rank ",
                                base_.rank()));
   }
+  std::set<int> fed;
   for (const BaseDim& d : dims_) {
-    if (d.kind == BaseDim::Kind::kExpr) {
-      if (d.alignee_dim < 0 || d.alignee_dim >= alignee_.rank()) {
-        throw InternalError("alignment expression references a bad dimension");
-      }
+    if (d.kind != BaseDim::Kind::kExpr) continue;
+    if (d.alignee_dim < 0 || d.alignee_dim >= alignee_.rank()) {
+      throw InternalError("alignment expression references a bad dimension");
+    }
+    if (!fed.insert(d.alignee_dim).second) {
+      throw ConformanceError(
+          "an align-dummy occurs in more than one base subscript (§5.1 "
+          "allows each J_i in at most one y_j)");
     }
   }
 }
@@ -253,8 +258,8 @@ AlignmentFunction AlignSpec::reduce(const IndexDomain& alignee_domain,
             triplet_axes.size(), " subscript-triplets in the base"));
   }
 
-  // Assemble the reduced form. Dummy ids are mapped to alignee dimensions.
-  std::vector<int> dummy_axis_of_base(base_subs_.size(), -1);
+  // Assemble the reduced form. Dummy ids are mapped to alignee dimensions;
+  // the constructor checks that each feeds at most one base subscript.
   std::vector<AlignmentFunction::BaseDim> dims(base_subs_.size());
 
   // Pass 1: explicit expressions (dummyless or one user dummy).
@@ -287,26 +292,12 @@ AlignmentFunction AlignSpec::reduce(const IndexDomain& alignee_domain,
           dims[j].kind = AlignmentFunction::BaseDim::Kind::kExpr;
           dims[j].alignee_dim = axis;
           dims[j].expr = t.expr;
-          dummy_axis_of_base[j] = axis;
         }
         break;
       }
       case BaseSub::Kind::kTriplet:
       case BaseSub::Kind::kColon:
         break;  // handled in pass 2
-    }
-  }
-
-  // Each user dummy may feed at most one base subscript.
-  {
-    std::set<int> used_axes;
-    for (int axis : dummy_axis_of_base) {
-      if (axis < 0) continue;
-      if (!used_axes.insert(axis).second) {
-        throw ConformanceError(
-            "an align-dummy occurs in more than one base subscript (§5.1 "
-            "allows each J_i in at most one y_j)");
-      }
     }
   }
 

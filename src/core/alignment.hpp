@@ -91,6 +91,9 @@ class AlignmentFunction {
     AlignExpr expr = AlignExpr::constant(0);
   };
 
+  /// Rejects an alignee dimension feeding two base dimensions (§5.1: each
+  /// J_i occurs in at most one y_j), so every mapping it constructs is a
+  /// per-dimension product of its base's.
   AlignmentFunction(IndexDomain alignee_domain, IndexDomain base_domain,
                     std::vector<BaseDim> base_dims,
                     AlignBoundsPolicy policy = AlignBoundsPolicy::kClamp);
@@ -141,12 +144,16 @@ class AlignmentFunction {
   static AlignmentFunction identity(const IndexDomain& alignee_domain,
                                     const IndexDomain& base_domain);
 
+  /// An image value of base dimension `base_dim` under the bounds policy:
+  /// clamped into the dimension (§5.1's ŷ = MIN(U_j, y), at both ends), or
+  /// a ConformanceError when strict and outside.
+  Index1 clamp_or_throw(Index1 value, int base_dim) const;
+
   /// "(J1,J2) -> (2*J1-1, *)" rendering.
   std::string to_string() const;
 
  private:
   Index1 eval_dim(int base_dim, const IndexTuple& alignee_index) const;
-  Index1 clamp_or_throw(Index1 value, int base_dim) const;
 
   IndexDomain alignee_;
   IndexDomain base_;

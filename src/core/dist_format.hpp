@@ -108,8 +108,8 @@ class DistFormat {
 /// triplet: `count` elements starting at normalized index `lo` and stepping
 /// by the triplet's stride, all mapped to the same per-dimension owner
 /// positions, `sets[set]` of the segment's list. Segment lists are the
-/// per-dimension primitive LayoutView's run builder composes by outer
-/// product (core/layout_view.hpp).
+/// per-dimension primitive the pair counts and LayoutView's tables compose
+/// by outer product (core/pair_counts.hpp).
 struct DimSegment {
   Index1 lo = 0;          ///< normalized index (1..n) of the first element
   Extent count = 0;       ///< elements covered at the triplet's stride
@@ -178,8 +178,8 @@ class DimMapping {
   /// which the owner (set) of this dimension does not change: the whole
   /// block for the block family, the CYCLIC(k) segment containing i, the
   /// entire dimension when collapsed, and the run of equal table entries
-  /// around i for INDIRECT / user-defined formats. This is the per-dimension
-  /// primitive behind LayoutView's run computation (core/layout_view.hpp).
+  /// around i for INDIRECT / user-defined formats. The segment-list walk and
+  /// the shadow-coverage check (exec/overlap.cpp) read it.
   std::pair<Index1, Index1> segment_range(Index1 i) const;
 
   /// The constant-owner decomposition of the normalized triplet `t`

@@ -439,6 +439,15 @@ bool Distribution::same_mapping(const Distribution& other) const {
   return equal;
 }
 
+const Distribution& resolve_identity(const Distribution& dist) {
+  const Distribution* d = &dist;
+  while (d->kind() == Distribution::Kind::kConstructed &&
+         d->alignment().is_identity()) {
+    d = &d->base();
+  }
+  return *d;
+}
+
 bool Distribution::structurally_equal(const Distribution& other) const {
   if (payload_ == other.payload_) return valid();
   if (!valid() || !other.valid() || kind() != other.kind()) return false;

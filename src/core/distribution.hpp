@@ -46,10 +46,10 @@ namespace hpfnt {
 /// dimension, ascending dimension order) into the full owner set of a
 /// formats distribution: the union of target.owners_at over the cartesian
 /// product of the sets, first set varying fastest, first-seen order, no
-/// duplicates. The single implementation behind FormatsPayload::owners,
-/// LayoutView's analytic run builder and the per-dimension pair counts
-/// (core/pair_counts.hpp) — sharing it is what keeps run tables and pair
-/// counts elementwise identical to the per-element query.
+/// duplicates. The single implementation behind FormatsPayload::owners and
+/// the per-dimension composition (core/pair_counts.hpp) that LayoutView's
+/// tables and the pair counts share — sharing it is what keeps them
+/// elementwise identical to the per-element query.
 OwnerSet compose_dim_owners(
     const ProcessorRef& target,
     const std::array<const DimOwnerSet*, kMaxRank>& sets,
@@ -142,9 +142,9 @@ class Distribution {
   /// payload's per-element mapping.
   OwnerSet owners(const IndexTuple& index) const;
 
-  /// Per-element payload query that never consults the run-table memo.
-  /// This is the primitive LayoutView probes at run boundaries (and the
-  /// independent oracle for its tests); everything else wants owners().
+  /// Per-element payload query that never consults the run-table memo:
+  /// the independent oracle of the layout tests; everything else wants
+  /// owners().
   OwnerSet owners_uncached(const IndexTuple& index) const;
 
   /// The first owner (canonical "computing" replica).
@@ -163,8 +163,10 @@ class Distribution {
                       const std::function<void(const IndexTuple&)>& fn) const;
 
   /// Element-wise equality of mappings: same domain and same owner sets
-  /// everywhere. O(|I^A| · rank). This is the semantic comparison behind
-  /// inheritance matching (§7, mode 3).
+  /// everywhere, decided from the two payloads' per-owner-set-pair counts
+  /// (core/pair_counts.hpp), composed per dimension without visiting each
+  /// element or building a run table. This is the semantic comparison
+  /// behind inheritance matching (§7, mode 3).
   bool same_mapping(const Distribution& other) const;
 
   /// Fast structural comparison: true for two kFormats distributions with
@@ -237,5 +239,12 @@ class Distribution {
 
   std::shared_ptr<const Payload> payload_;
 };
+
+/// The payload whose owners are `dist`'s element by element when `dist`
+/// aligns by the identity: CONSTRUCT(id, δ) = δ (Definition 4), resolved
+/// transitively; `dist` itself otherwise. The first step of the normal form
+/// every count reduces a payload to (core/pair_counts.hpp), and the mapping
+/// the phase rules compare (exec/overlap.hpp). Allocates nothing.
+const Distribution& resolve_identity(const Distribution& dist);
 
 }  // namespace hpfnt

@@ -18,38 +18,31 @@
 // segment. parent_index() recovers a run's parent-domain indices from its
 // position.
 //
-// The charge walks (exec/pricing.hpp), storage accounting and
-// same_mapping do not expand formats layouts into tables at all: they
-// read per-owner-set-pair counts composed one dimension at a time
-// (core/pair_counts.hpp). A table is walked — two tables in lock step,
-// summing segment counts per pair of set ids (SetPairCounts) — only for a
-// side whose owners are not a per-dimension product: a non-identity
-// alignment or a section view. Tables also back the owners() shim, the
-// checkpoint and recovery walks, and the benchmarks' construction probes.
+// Pricing, storage accounting, checkpoint, recovery and same_mapping do
+// not build tables: they read per-owner-set-pair counts composed one
+// dimension at a time (core/pair_counts.hpp). Tables back the owners()
+// shim, the value patches of a recovery that lost every replica, and the
+// benchmarks' construction probes.
 //
-// Run tables are computed
-//   * analytically for kFormats payloads: each dimension's constant-owner
-//     segment list (DimMapping::segment_list — block bounds, cyclic
-//     segments, GENERAL_BLOCK bound arrays; memoized per payload per
-//     dimension, so sections sharing a dimension triplet share the list)
-//     is composed by outer product into runs without any per-element probe,
-//     one owner-set composition per distinct per-dimension set tuple of a
-//     row,
-//   * by composition through the alignment function α for kConstructed
-//     (linear α maps a segment of the base's runs back onto the alignee;
-//     clamped ends form their own constant runs) — except that an identity
-//     α (ALIGN W(I) WITH U(I): CONSTRUCT(id, δ_U) = δ_U) builds nothing:
-//     W's view holds the very RunTable object U's view of the same section
-//     holds, fetched through U's memo,
-//   * by triplet composition (restriction) for kSectionView,
-// and are memoized per Distribution payload keyed by the section
-// (Distribution::run_memo), so repeated sweeps of the same section are
-// free. Distribution::owners(IndexTuple) remains as a thin per-element
-// compatibility shim answered from the memoized whole-domain table when one
-// exists.
+// Every payload kind's table has one builder: the payload reduces to its
+// root kFormats payload and one index map per root dimension (the normal
+// form of core/pair_counts.hpp: an alignment's α and a section view's
+// triplets composed per dimension, §5.1 clamps as constant pieces), and
+// the per-dimension constant-owner segment lists of that form
+// (DimMapping::segment_list — block bounds, cyclic segments, GENERAL_BLOCK
+// bound arrays; memoized per root payload per dimension, so sections
+// sharing a dimension's image triplet share the list) are composed by
+// outer product into runs, one owner-set composition per distinct
+// per-dimension set tuple, without any per-element probe. An identity α
+// (ALIGN W(I) WITH U(I): CONSTRUCT(id, δ_U) = δ_U) builds nothing: W's
+// view holds the very RunTable object U's view of the same section holds,
+// fetched through U's memo. Tables are memoized per Distribution payload
+// keyed by the section (Distribution::run_memo), so repeated sweeps of the
+// same section are free. Distribution::owners(IndexTuple) remains as a
+// thin per-element compatibility shim answered from the memoized
+// whole-domain table when one exists.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -58,9 +51,6 @@
 #include "core/index_domain.hpp"
 #include "core/triplet.hpp"
 #include "core/types.hpp"
-#include "machine/step_accum.hpp"
-#include "support/error.hpp"
-#include "support/small_vector.hpp"
 
 namespace hpfnt {
 
@@ -78,12 +68,14 @@ static_assert(sizeof(OwnerRun) <= 24, "runs stay slim records");
 
 /// A computed run table: the runs partition the section domain's linear
 /// positions [0, size) exactly once, in order. `sets` pools the distinct
-/// owner sets, exactly as owners(i) yields them; equal ids mean equal sets,
-/// and adjacent runs of one row never share an id. `ownership_queries` is
-/// the number of per-element payload probes spent building the table — the
-/// figure the E1 run-based benchmark compares against a per-element sweep.
-/// A table shared by several views (an identity-aligned array and its
-/// base) was built once, so each view reports that one build's count.
+/// owner sets; equal ids mean equal sets, and adjacent runs of one row
+/// never share an id. `ownership_queries` is the number of payload probes
+/// spent building the table: the probes of the per-dimension segment lists
+/// it computed (a memoized list it reuses costs none), one per constant
+/// index it looked up, and one for a scalar — the figure the E1 run-based
+/// benchmark compares against a per-element sweep. A table shared by
+/// several views (an identity-aligned array and its base) was built once,
+/// so each view reports that one build's count.
 struct RunTable {
   IndexDomain section_domain;
   std::vector<OwnerRun> runs;
@@ -128,10 +120,10 @@ class LayoutView {
   }
   Extent size() const noexcept { return table_->section_domain.size(); }
 
-  /// Per-element probes spent building the table — once, by whichever
-  /// view built it: a memo hit, or an identity-aligned array's view of its
-  /// base's table, reports the count of that one build, not probes of its
-  /// own.
+  /// Payload probes spent building the table (RunTable::ownership_queries)
+  /// — once, by whichever view built it: a memo hit, or an identity-aligned
+  /// array's view of its base's table, reports the count of that one
+  /// build, not probes of its own.
   Extent ownership_queries() const noexcept {
     return table_->ownership_queries;
   }
@@ -141,139 +133,14 @@ class LayoutView {
     return table_->owners(run);
   }
 
-  /// Owner set of the element at a linear section position.
-  const OwnerSet& owner_set_at(Extent linear_pos) const {
-    return hpfnt::owner_set_at(*table_, linear_pos);
-  }
-
   /// Parent-domain index of the run's element at `offset` (0-based,
   /// 0 <= offset < run.count), derived from its section position.
   IndexTuple parent_index(const OwnerRun& run, Extent offset) const;
-
-  /// Calls `fn` for every run, in table order.
-  template <typename Fn>
-  void for_each_run(Fn&& fn) const {
-    for (const OwnerRun& r : table_->runs) fn(r);
-  }
 
  private:
   Distribution dist_;
   std::vector<Triplet> section_;
   std::shared_ptr<const RunTable> table_;
-};
-
-/// Walks two run tables over the same linear position space in lock step,
-/// calling fn(begin, count, id_a, id_b) once per maximal segment on which
-/// both owner sets are constant; id_a and id_b are the two runs' set ids,
-/// into a.sets and b.sets respectively. The tables must cover the same
-/// total size.
-template <typename Fn>
-void for_each_common_segment_ids(const RunTable& a, const RunTable& b,
-                                 Fn&& fn) {
-  const Extent total = a.section_domain.size();
-  if (total != b.section_domain.size()) {
-    throw InternalError("common-segment walk over tables of different sizes");
-  }
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  Extent pos = 0;
-  while (pos < total) {
-    const OwnerRun& ra = a.runs[ia];
-    const OwnerRun& rb = b.runs[ib];
-    const Extent end_a = ra.begin + ra.count;
-    const Extent end_b = rb.begin + rb.count;
-    const Extent end = std::min(end_a, end_b);
-    fn(pos, end - pos, ra.set, rb.set);
-    pos = end;
-    if (pos == end_a) ++ia;
-    if (pos == end_b) ++ib;
-  }
-}
-
-/// for_each_common_segment_ids with the pooled sets in place of the ids:
-/// fn(begin, count, owners_a, owners_b) once per common segment.
-template <typename Fn>
-void for_each_common_segment(const RunTable& a, const RunTable& b, Fn&& fn) {
-  for_each_common_segment_ids(a, b, [&](Extent begin, Extent count,
-                                        std::uint32_t ia, std::uint32_t ib) {
-    fn(begin, count, a.sets[ia], b.sets[ib]);
-  });
-}
-
-/// Element counts of one table summed per pooled set id: sets[id]'s share
-/// of the positions, 0 for a pooled set no run names.
-inline SmallVector<Extent, 256> set_counts(const RunTable& table) {
-  SmallVector<Extent, 256> sums(table.sets.size(), 0);
-  for (const OwnerRun& r : table.runs) sums[r.set] += r.count;
-  return sums;
-}
-
-/// Element counts summed per (set id in a, set id in b) pair over two set
-/// pools — two run tables' pools, or the per-side pools of a PairCounts
-/// (core/pair_counts.hpp). The ids index two different pools, so equal ids
-/// do not mean equal sets. The counts live in a dense na x nb matrix when
-/// na * nb <= max(walk, kInline), where `walk` is the number of adds the
-/// producer can make (the two tables' runs), so its memory and its scan
-/// stay within the walk's own size or a small constant (kInline counts are
-/// held inline: a small walk allocates nothing); otherwise — thousands of
-/// distinct user-defined sets — in a hashed table keyed by the packed id
-/// pair. The choice is a function of the pools and the walk alone.
-class SetPairCounts {
- public:
-  static constexpr std::size_t kInline = 256;
-
-  SetPairCounts(const std::vector<OwnerSet>& a, const std::vector<OwnerSet>& b,
-                std::size_t walk)
-      : a_(&a),
-        b_(&b),
-        nb_(b.size()),
-        dense_(static_cast<std::uint64_t>(a.size()) * nb_ <=
-               std::max(walk, kInline)) {
-    if (dense_) counts_.resize(a.size() * nb_, 0);
-  }
-
-  SetPairCounts(const RunTable& a, const RunTable& b)
-      : SetPairCounts(a.sets, b.sets, a.runs.size() + b.runs.size()) {}
-
-  /// Whether the counts live in the dense matrix (else the hashed table).
-  bool dense() const noexcept { return dense_; }
-
-  void add(std::uint32_t ia, std::uint32_t ib, Extent count) {
-    if (dense_) {
-      counts_[ia * nb_ + ib] += count;
-    } else {
-      hashed_.accumulate(std::uint64_t{ia} << 32 | ib) += count;
-    }
-  }
-
-  /// Calls fn(sum, a[ia], b[ib]) once per pair with a nonzero sum, in
-  /// ascending (ia, ib) order.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    auto emit = [&](std::size_t ia, std::size_t ib, Extent sum) {
-      fn(sum, (*a_)[ia], (*b_)[ib]);
-    };
-    if (dense_) {
-      std::size_t k = 0;
-      for (std::size_t ia = 0; ia < a_->size(); ++ia) {
-        for (std::size_t ib = 0; ib < nb_; ++ib, ++k) {
-          if (counts_[k] != 0) emit(ia, ib, counts_[k]);
-        }
-      }
-    } else {
-      for (const auto& cell : hashed_.sorted()) {
-        emit(cell.key >> 32, cell.key & 0xffffffffu, cell.payload);
-      }
-    }
-  }
-
- private:
-  const std::vector<OwnerSet>* a_;
-  const std::vector<OwnerSet>* b_;
-  std::size_t nb_;
-  bool dense_;
-  SmallVector<Extent, kInline> counts_;
-  StepAccumTable<std::uint64_t, Extent> hashed_;
 };
 
 }  // namespace hpfnt

@@ -9,30 +9,181 @@
 
 #include "core/dist_format.hpp"
 #include "core/set_interner.hpp"
-#include "machine/step_accum.hpp"
 #include "support/error.hpp"
 
 namespace hpfnt {
 
 namespace {
 
-// The kFormats payload whose per-dimension lists give `dist`'s owners:
-// `dist` itself, or the base of an identity alignment (transitively).
-// Null for every other payload.
-const Distribution* formats_source(const Distribution& dist) {
-  const Distribution* d = &dist;
-  while (d->kind() == Distribution::Kind::kConstructed &&
-         d->alignment().is_identity()) {
-    d = &d->base();
-  }
-  return d->kind() == Distribution::Kind::kFormats ? d : nullptr;
-}
-
 using SetIds = std::array<std::uint32_t, kMaxRank>;
 
-// One section dimension of a formats side: its constant-owner list over
-// one period (a CYCLIC dimension whose owners repeat within the section)
-// or over the whole triplet.
+// --- the normal form ---------------------------------------------------------
+
+// `count` positions of a feed, position k at root index first + k·step
+// (step 0: one index, as a §5.1 clamp gives).
+struct IndexPiece {
+  Extent count;
+  Index1 first;
+  Index1 step;
+};
+
+using Pieces = SmallVector<IndexPiece, kMaxRank>;
+
+// How one root dimension is fed: section dimension `section_dim` read
+// through pieces [begin, end) in position order, or (section_dim < 0)
+// every index the pieces list, all owning each element.
+struct RootFeed {
+  int section_dim;
+  std::uint32_t begin;
+  std::uint32_t end;
+};
+
+struct NormalForm {
+  const Distribution* root = nullptr;
+  SmallVector<RootFeed, kMaxRank> feeds;  // one per root dimension
+  Pieces pieces;
+};
+
+// Appends one position at index y, extending the last piece when y
+// continues it.
+void push_index(Pieces& out, std::size_t begin, Index1 y) {
+  if (out.size() > begin) {
+    IndexPiece& last = out.back();
+    if (last.count == 1) {
+      last.step = y - last.first;
+      last.count = 2;
+      return;
+    }
+    if (last.first + last.count * last.step == y) {
+      ++last.count;
+      return;
+    }
+  }
+  out.push_back({1, y, 0});
+}
+
+// Appends piece p mapped through base dimension j of α, whose subscript is
+// `expr`: a linear a·J+b maps it to at most three pieces — the positions
+// whose image falls below the base, inside it, and above it, the outer two
+// clamped (§5.1) — and MAX/MIN is evaluated one position at a time.
+void map_piece(const IndexPiece& p, const AlignExpr& expr,
+               const AlignmentFunction& alpha, int j, Pieces& out,
+               std::size_t begin) {
+  const std::optional<AlignExpr::Linear> lin = expr.linear();
+  if (!lin) {
+    for (Extent k = 0; k < p.count; ++k) {
+      push_index(out, begin,
+                 alpha.clamp_or_throw(expr.eval(p.first + k * p.step), j));
+    }
+    return;
+  }
+  const Index1 y0 = lin->a * p.first + lin->b;
+  const Index1 dy = lin->a * p.step;
+  if (p.count == 1 || dy == 0) {
+    out.push_back({p.count, alpha.clamp_or_throw(y0, j), 0});
+    return;
+  }
+  const Index1 lo = alpha.base_domain().lower(j);
+  const Index1 hi = alpha.base_domain().upper(j);
+  // Leading positions beyond the bound y starts towards, then the first
+  // position past the other bound.
+  const Index1 near = dy > 0 ? lo : hi;
+  const Index1 far = dy > 0 ? hi : lo;
+  const Index1 step = dy > 0 ? dy : -dy;
+  const Index1 before = dy > 0 ? near - y0 : y0 - near;  // > 0: clamped
+  const Index1 room = dy > 0 ? far - y0 : y0 - far;      // >= 0: inside
+  const Extent lead =
+      before <= 0 ? 0 : std::min<Extent>(p.count, (before + step - 1) / step);
+  const Extent inside_end =
+      room < 0 ? 0 : std::min<Extent>(p.count, room / step + 1);
+  if (lead > 0) out.push_back({lead, alpha.clamp_or_throw(y0, j), 0});
+  if (inside_end > lead) {
+    out.push_back({inside_end - lead, y0 + lead * dy, dy});
+  }
+  const Extent tail = p.count - std::max(lead, inside_end);
+  if (tail > 0) {
+    out.push_back(
+        {tail, alpha.clamp_or_throw(y0 + (p.count - 1) * dy, j), 0});
+  }
+}
+
+// Reduces `dist` over `section` (non-empty) to its normal form.
+NormalForm normal_form(const Distribution& dist,
+                       const std::vector<Triplet>& section) {
+  NormalForm nf;
+  for (std::size_t d = 0; d < section.size(); ++d) {
+    const Triplet& t = section[d];
+    nf.feeds.push_back({static_cast<int>(d), static_cast<std::uint32_t>(d),
+                        static_cast<std::uint32_t>(d + 1)});
+    nf.pieces.push_back({t.size(), t.lower(), t.stride()});
+  }
+  const Distribution* cur = &resolve_identity(dist);
+  while (cur->kind() != Distribution::Kind::kFormats) {
+    if (cur->kind() == Distribution::Kind::kSectionView) {
+      // Restriction: view index x of dimension e is the parent's
+      // trips[e].at(x - 1).
+      const std::vector<Triplet>& trips = cur->section_triplets();
+      for (std::size_t e = 0; e < nf.feeds.size(); ++e) {
+        const Triplet& t = trips[e];
+        for (std::uint32_t k = nf.feeds[e].begin; k < nf.feeds[e].end; ++k) {
+          IndexPiece& p = nf.pieces[k];
+          p.first = t.at(p.first - 1);
+          p.step *= t.stride();
+        }
+      }
+      cur = &resolve_identity(cur->section_parent());
+      continue;
+    }
+    // CONSTRUCT(α, δ_B): base dimension j is a fixed index, every index of
+    // the dimension, or alignee dimension i's feed mapped through α.
+    const AlignmentFunction& alpha = cur->alignment();
+    const std::vector<AlignmentFunction::BaseDim>& bdims = alpha.base_dims();
+    NormalForm next;
+    for (std::size_t j = 0; j < bdims.size(); ++j) {
+      const AlignmentFunction::BaseDim& bd = bdims[j];
+      const int jj = static_cast<int>(j);
+      const auto begin = static_cast<std::uint32_t>(next.pieces.size());
+      int feeder = -1;
+      switch (bd.kind) {
+        case AlignmentFunction::BaseDim::Kind::kConst:
+          next.pieces.push_back({1, alpha.clamp_or_throw(bd.constant, jj), 0});
+          break;
+        case AlignmentFunction::BaseDim::Kind::kReplicated: {
+          const Triplet& t = alpha.base_domain().dim(jj);
+          next.pieces.push_back({t.size(), t.lower(), t.stride()});
+          break;
+        }
+        case AlignmentFunction::BaseDim::Kind::kExpr: {
+          const RootFeed& from =
+              nf.feeds[static_cast<std::size_t>(bd.alignee_dim)];
+          feeder = from.section_dim;
+          for (std::uint32_t k = from.begin; k < from.end; ++k) {
+            map_piece(nf.pieces[k], bd.expr, alpha, jj, next.pieces, begin);
+          }
+          break;
+        }
+      }
+      next.feeds.push_back(
+          {feeder, begin, static_cast<std::uint32_t>(next.pieces.size())});
+    }
+    nf = std::move(next);
+    cur = &resolve_identity(cur->base());
+  }
+  nf.root = cur;
+  return nf;
+}
+
+// --- per-dimension lists -----------------------------------------------------
+
+// Where a side's segment lists come from: the pair counts read memoized
+// lists of one CYCLIC period and report the probes that built them; a run
+// table reads whole lists, memoized (reporting only the probes it spent)
+// or computed afresh.
+enum class ListSource { kPeriodic, kMemo, kFresh };
+
+// One section dimension of a side: its constant-owner list over one period
+// (a CYCLIC dimension whose owners repeat within the section) or over the
+// whole triplet.
 struct DimSeq {
   std::shared_ptr<const DimSegmentList> list;
   Extent len = 0;                  // section positions
@@ -57,51 +208,128 @@ std::vector<Extent> prefix_set_counts(const DimSeq& seq, Extent limit) {
   return out;
 }
 
+// The list of normalized triplet `t` of `m`, its probes added to `queries`
+// as `source` counts them.
+std::shared_ptr<const DimSegmentList> fetch_list(const DimMapping& m,
+                                                 const Triplet& t,
+                                                 ListSource source,
+                                                 Extent& queries) {
+  if (source == ListSource::kFresh) {
+    auto fresh =
+        std::make_shared<const DimSegmentList>(m.compute_segment_list(t));
+    queries += fresh->probes;
+    return fresh;
+  }
+  Extent charged = 0;
+  std::shared_ptr<const DimSegmentList> list = m.segment_list(t, &charged);
+  queries += source == ListSource::kMemo ? charged : list->probes;
+  return list;
+}
+
+// Calls fn(set, count) for each constant-owner stretch of pieces
+// [p, end) of root dimension m (indices normalized by `shift`), in order.
+template <class Fn>
+void for_each_piece_segment(const DimMapping& m, Index1 shift,
+                            const IndexPiece* p, const IndexPiece* end,
+                            ListSource source, Extent& queries, Fn&& fn) {
+  for (; p != end; ++p) {
+    if (p->count == 1 || p->step == 0) {
+      ++queries;
+      fn(m.owners(p->first - shift), p->count);
+      continue;
+    }
+    const Index1 first = p->first - shift;
+    const std::shared_ptr<const DimSegmentList> list = fetch_list(
+        m, Triplet(first, first + (p->count - 1) * p->step, p->step), source,
+        queries);
+    for (const DimSegment& s : list->segments) fn(list->sets[s.set], s.count);
+  }
+}
+
 }  // namespace
 
 namespace detail {
 
-// A kFormats side over one section: a DimSeq per dimension, and the
+// One side over one section: a DimSeq per section dimension, and the
 // composition of per-dimension set-id tuples into owner-set ids — each
 // tuple composed once and interned into the side's pool.
 class FormatsSide {
  public:
   FormatsSide(const Distribution& dist, const std::vector<Triplet>& section,
-              std::vector<OwnerSet>& pool)
-      : dist_(dist), pool_(pool), interner_(pool) {
-    const IndexDomain& domain = dist.domain();
-    domain.validate_section(section);
-    const int rank = domain.rank();
-    if (rank == 0) queries_ = 1;  // the scalar's one owner set, as a probe
+              std::vector<OwnerSet>& pool,
+              ListSource source = ListSource::kPeriodic)
+      : pool_(pool), interner_(pool) {
+    dist.domain().validate_section(section);
     size_ = section_size(section);
     if (size_ == 0) return;  // an empty section reads no list
-    dims_.resize(static_cast<std::size_t>(rank));
-    for (int d = 0; d < rank; ++d) {
-      const Triplet& t = section[static_cast<std::size_t>(d)];
-      const Index1 shift = domain.lower(d) - 1;
-      const Triplet norm(t.lower() - shift, t.upper() - shift, t.stride());
-      const DimMapping& m = dist.dim_mapping(d);
-      DimSeq& seq = dims_[static_cast<std::size_t>(d)];
-      seq.len = norm.size();
-      seq.period = seq.len;
-      if (m.kind() == FormatKind::kCyclic) {
-        // Owners repeat every k·NP indices, so every k·NP/gcd(|s|, k·NP)
-        // positions at stride s.
-        const Extent cycle =
-            dist.format_list()[static_cast<std::size_t>(d)].cyclic_k() *
-            m.np();
-        seq.period = std::min(
-            seq.len, cycle / std::gcd(std::abs(norm.stride()), cycle));
-      }
-      seq.list = m.segment_list(
-          seq.periodic()
-              ? Triplet(norm.lower(), norm.at(seq.period - 1), norm.stride())
-              : norm);
-      queries_ += seq.list->probes;
-      if (seq.periodic()) seq.per_period = prefix_set_counts(seq, seq.period);
-      if (m.kind() != FormatKind::kCollapsed) coord_dims_.push_back(d);
-      tuples_ *= seq.list->sets.size();
+    const NormalForm nf = normal_form(dist, section);
+    root_ = nf.root;
+    const IndexDomain& domain = root_->domain();
+    if (domain.rank() == 0) queries_ = 1;  // the scalar's one owner set
+    dims_.resize(section.size());
+    for (std::size_t d = 0; d < section.size(); ++d) {
+      dims_[d].len = dims_[d].period = section[d].size();
     }
+    for (int r = 0; r < domain.rank(); ++r) {
+      const RootFeed& feed = nf.feeds[static_cast<std::size_t>(r)];
+      const DimMapping& m = root_->dim_mapping(r);
+      const Index1 shift = domain.lower(r) - 1;
+      const IndexPiece* first = nf.pieces.data() + feed.begin;
+      const IndexPiece* last = nf.pieces.data() + feed.end;
+      const bool coord = m.kind() != FormatKind::kCollapsed;
+      if (feed.section_dim < 0) {
+        // A fixed or replicated root dimension: one constant factor, the
+        // union of its indices' owners (none when collapsed).
+        if (!coord) continue;
+        DimOwnerSet owners;
+        for_each_piece_segment(
+            m, shift, first, last, source, queries_,
+            [&](const DimOwnerSet& set, Extent) {
+              for (Index1 q : set) {
+                if (std::find(owners.begin(), owners.end(), q) ==
+                    owners.end()) {
+                  owners.push_back(q);
+                }
+              }
+            });
+        slots_.push_back({-1, static_cast<int>(constants_.size())});
+        constants_.push_back(std::move(owners));
+        continue;
+      }
+      DimSeq& seq = dims_[static_cast<std::size_t>(feed.section_dim)];
+      if (last - first == 1 && first->step != 0) {
+        const Index1 lo = first->first - shift;
+        const Index1 step = first->step;
+        if (source == ListSource::kPeriodic &&
+            m.kind() == FormatKind::kCyclic) {
+          // Owners repeat every k·NP indices, so every k·NP/gcd(|s|, k·NP)
+          // positions at stride s.
+          const Extent cycle =
+              root_->format_list()[static_cast<std::size_t>(r)].cyclic_k() *
+              m.np();
+          seq.period =
+              std::min(seq.len, cycle / std::gcd(std::abs(step), cycle));
+        }
+        seq.list = fetch_list(
+            m, Triplet(lo, lo + (seq.period - 1) * step, step), source,
+            queries_);
+        if (seq.periodic()) {
+          seq.per_period = prefix_set_counts(seq, seq.period);
+        }
+      } else {
+        seq.list = join(m, shift, first, last, source);
+      }
+      if (coord) slots_.push_back({feed.section_dim, -1});
+    }
+    for (DimSeq& seq : dims_) {
+      if (seq.list) continue;
+      // Fed to no root dimension (an alignee "*"): one constant segment.
+      auto constant = std::make_shared<DimSegmentList>();
+      constant->segments.push_back({1, seq.len, 0});
+      constant->sets.emplace_back();
+      seq.list = std::move(constant);
+    }
+    for (const DimSeq& seq : dims_) tuples_ *= seq.list->sets.size();
     if (tuples_ <= kDenseTuples) composed_.assign(tuples_, 0);
   }
 
@@ -135,10 +363,13 @@ class FormatsSide {
     if (slot == 0) {
       std::array<const DimOwnerSet*, kMaxRank> sets{};
       std::size_t c = 0;
-      for (int d : coord_dims_) {
-        sets[c++] = &dim(d).list->sets[ids[static_cast<std::size_t>(d)]];
+      for (const Slot& s : slots_) {
+        sets[c++] =
+            s.dim >= 0
+                ? &dim(s.dim).list->sets[ids[static_cast<std::size_t>(s.dim)]]
+                : &constants_[static_cast<std::size_t>(s.constant)];
       }
-      slot = interner_.intern(compose_dim_owners(dist_.target(), sets, c)) + 1;
+      slot = interner_.intern(compose_dim_owners(root_->target(), sets, c)) + 1;
     }
     return slot - 1;
   }
@@ -147,11 +378,40 @@ class FormatsSide {
   // Composed ids + 1 per tuple of set ids: dense for few tuples.
   static constexpr std::uint64_t kDenseTuples = 4096;
 
-  const Distribution& dist_;
+  // A target coordinate of the composition, in root dimension order: a
+  // section dimension's list, or a constant factor.
+  struct Slot {
+    int dim;
+    int constant;
+  };
+
+  // The pieces' segments joined into one list, adjacent equal sets merged.
+  std::shared_ptr<const DimSegmentList> join(const DimMapping& m,
+                                             Index1 shift,
+                                             const IndexPiece* first,
+                                             const IndexPiece* last,
+                                             ListSource source) {
+    auto out = std::make_shared<DimSegmentList>();
+    SetInterner<DimOwnerSet> sets(out->sets);
+    for_each_piece_segment(
+        m, shift, first, last, source, queries_,
+        [&](const DimOwnerSet& owners, Extent count) {
+          const std::uint32_t id = sets.intern(owners);
+          if (!out->segments.empty() && out->segments.back().set == id) {
+            out->segments.back().count += count;
+          } else {
+            out->segments.push_back({0, count, id});
+          }
+        });
+    return out;
+  }
+
+  const Distribution* root_ = nullptr;
   const std::vector<OwnerSet>& pool_;
   SetInterner<OwnerSet> interner_;
   std::vector<DimSeq> dims_;
-  SmallVector<int, kMaxRank> coord_dims_;
+  SmallVector<Slot, kMaxRank> slots_;
+  std::vector<DimOwnerSet> constants_;
   Extent size_ = 1;
   Extent queries_ = 0;
   std::uint64_t tuples_ = 1;
@@ -245,76 +505,11 @@ Joint joint_period(const DimSeq& a, const DimSeq& b) {
   return {len, 1, 0};
 }
 
-// The (set a_d, set b_d) counts of one paired dimension: dense when small,
-// hashed otherwise; entries() lists the nonzero ones (in first-added order
-// when dense, in (sa, sb) order when hashed — no consumer depends on it)
-// and index() finds an entry's position in that list.
-class PairMatrix {
- public:
-  PairMatrix(std::size_t na, std::size_t nb, std::size_t walk)
-      : nb_(nb), dense_(na * nb <= std::max<std::size_t>(walk, 4096)) {
-    if (dense_) {
-      counts_.assign(na * nb, 0);
-      added_.reserve(std::min(na * nb, walk));
-    }
-  }
-
-  void add(std::uint32_t sa, std::uint32_t sb, Extent count) {
-    if (dense_) {
-      Extent& cell = counts_[sa * nb_ + sb];
-      if (cell == 0) added_.push_back({sa, sb});
-      cell += count;
-    } else {
-      hashed_.accumulate(std::uint64_t{sa} << 32 | sb) += count;
-    }
-  }
-
-  struct Entry {
-    std::uint32_t sa;
-    std::uint32_t sb;
-    Extent count;
-  };
-
-  /// Finalizes the counts into entries(); call once, after every add.
-  void seal(bool indexed) {
-    if (dense_) {
-      if (indexed) index_.assign(counts_.size(), 0);
-      entries_.reserve(added_.size());
-      for (const auto& [sa, sb] : added_) {
-        const std::size_t k = sa * nb_ + sb;
-        if (indexed) index_[k] = static_cast<std::uint32_t>(entries_.size());
-        entries_.push_back({sa, sb, counts_[k]});
-      }
-      return;
-    }
-    for (const auto& cell : hashed_.sorted()) {
-      if (indexed) {
-        hashed_index_.accumulate(cell.key) =
-            static_cast<std::uint32_t>(entries_.size());
-      }
-      entries_.push_back({static_cast<std::uint32_t>(cell.key >> 32),
-                          static_cast<std::uint32_t>(cell.key & 0xffffffffu),
-                          cell.payload});
-    }
-  }
-
-  const std::vector<Entry>& entries() const { return entries_; }
-
-  std::uint32_t index(std::uint32_t sa, std::uint32_t sb) {
-    return dense_ ? index_[sa * nb_ + sb]
-                  : hashed_index_.accumulate(std::uint64_t{sa} << 32 | sb);
-  }
-
- private:
-  std::size_t nb_;
-  bool dense_;
-  std::vector<Extent> counts_;
-  // Dense cells in first-added order.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> added_;
-  std::vector<std::uint32_t> index_;
-  StepAccumTable<std::uint64_t, Extent> hashed_;
-  StepAccumTable<std::uint64_t, std::uint32_t> hashed_index_;
-  std::vector<Entry> entries_;
+// One nonzero (set a_d, set b_d) count of a paired dimension.
+struct Entry {
+  std::uint32_t sa;
+  std::uint32_t sb;
+  Extent count;
 };
 
 // A paired dimension's positions cut, in order, into stretches over which
@@ -338,19 +533,35 @@ struct Stretches {
 
 // One factor of the Kronecker product: a paired dimension (da of side a,
 // db of side b), its pair counts, and — for the innermost factor of a
-// folded pair — its stretches.
+// folded pair — its stretches. Once sealed, `entries` lists the nonzero
+// counts in ascending (sa, sb) order, and an indexed factor's matrix holds
+// each pair's position in it in place of its count.
 struct Factor {
   int da;
   int db;
   const DimSeq* a;
   const DimSeq* b;
-  PairMatrix matrix;
+  SetPairCounts matrix;
   Stretches stretches;
+  std::vector<Entry> entries;
+
+  void seal(bool indexed) {
+    matrix.for_each([&](Extent count, std::uint32_t sa, std::uint32_t sb) {
+      entries.push_back({sa, sb, count});
+    });
+    if (!indexed) return;
+    for (std::size_t e = 0; e < entries.size(); ++e) {
+      matrix.at(entries[e].sa, entries[e].sb) = static_cast<Extent>(e);
+    }
+  }
+  std::uint32_t index(std::uint32_t sa, std::uint32_t sb) {
+    return static_cast<std::uint32_t>(matrix.at(sa, sb));
+  }
 };
 
-// Adds `weight` x the counts of positions [0, limit) into a PairMatrix.
+// Adds `weight` x the counts of positions [0, limit) into a matrix.
 struct CountVisitor {
-  PairMatrix* m;
+  SetPairCounts* m;
   const DimSeq* a;
   const DimSeq* b;
   Extent weight;
@@ -461,7 +672,7 @@ struct StretchVisitor {
   /// Walks positions [0, limit) into `into`'s stretches and adds their
   /// counts, `weight` times, to `m`.
   void walk(Extent limit, std::vector<Stretches::Stretch>* into,
-            Extent weight, PairMatrix& m) {
+            Extent weight, SetPairCounts& m) {
     part = into;
     merge_dim(*a, *b, limit, *this);
     flush();
@@ -487,12 +698,12 @@ void for_each_tuple(const std::vector<Factor>& factors, SetIds ids_a,
   const std::size_t n = factors.size();
   SmallVector<std::size_t, kMaxRank> pos(n, 0);
   for (const Factor& f : factors) {
-    if (f.matrix.entries().empty()) return;
+    if (f.entries.empty()) return;
   }
   while (true) {
     Extent count = 1;
     for (std::size_t j = 0; j < n; ++j) {
-      const PairMatrix::Entry& e = factors[j].matrix.entries()[pos[j]];
+      const Entry& e = factors[j].entries[pos[j]];
       ids_a[static_cast<std::size_t>(factors[j].da)] = e.sa;
       ids_b[static_cast<std::size_t>(factors[j].db)] = e.sb;
       count *= e.count;
@@ -500,7 +711,7 @@ void for_each_tuple(const std::vector<Factor>& factors, SetIds ids_a,
     fn(ids_a, ids_b, count);
     std::size_t j = 0;
     for (; j < n; ++j) {
-      if (++pos[j] < factors[j].matrix.entries().size()) break;
+      if (++pos[j] < factors[j].entries.size()) break;
       pos[j] = 0;
     }
     if (j == n) break;
@@ -612,7 +823,7 @@ class MemoryFolder {
     std::uint32_t k = id;
     for (std::size_t level = 0; level < factors_.size(); ++level) {
       const auto [entry, outer] = levels_[level].tuples[k];
-      const PairMatrix::Entry& pair = factors_[level].matrix.entries()[entry];
+      const Entry& pair = factors_[level].entries[entry];
       ids_a[static_cast<std::size_t>(factors_[level].da)] = pair.sa;
       ids_b[static_cast<std::size_t>(factors_[level].db)] = pair.sb;
       k = outer;
@@ -627,13 +838,13 @@ class MemoryFolder {
     MemoryFolder* self;
     int j;
     std::uint32_t t;
-    PairMatrix* matrix;
+    Factor* factor;
     std::vector<Row>* rows;  // per entry of factor j, kUnmade until made
     std::vector<Rise>* acc;
 
     void add(std::vector<Rise>& into, std::uint32_t sa, std::uint32_t sb,
              Extent c) {
-      const std::uint32_t e = matrix->index(sa, sb);
+      const std::uint32_t e = factor->index(sa, sb);
       Row& row = (*rows)[e];
       if (row.begin == kUnmade.begin) row = self->make_row(j, e, t);
       const std::pair<ApId, Rise>* cells = self->arena_.data();
@@ -688,8 +899,8 @@ class MemoryFolder {
     for (const Stretches::Stretch& s : part) {
       for (std::uint32_t k = s.begin; k < s.end; ++k) {
         const auto [other, count] = st.cells[k];
-        const std::uint32_t e = st.x_is_a ? f.matrix.index(s.x, other)
-                                          : f.matrix.index(other, s.x);
+        const std::uint32_t e =
+            st.x_is_a ? f.index(s.x, other) : f.index(other, s.x);
         Row& row = rows[e];
         if (row.begin == kUnmade.begin) row = make_row(0, e, t);
         for (std::uint32_t c = row.begin; c < row.end; ++c) {
@@ -718,7 +929,7 @@ class MemoryFolder {
   Row fold_level(int j, std::uint32_t t) {
     Factor& f = factors_[static_cast<std::size_t>(j)];
     const Joint jp = joint_period(*f.a, *f.b);
-    std::vector<Row> rows(f.matrix.entries().size(), kUnmade);
+    std::vector<Row> rows(f.entries.size(), kUnmade);
     // Folds positions [0, limit) into acc: by stretches at level 0, by
     // the merged list's pieces above it.
     auto fold_part = [&](Extent limit,
@@ -728,7 +939,7 @@ class MemoryFolder {
         fold_stretches(stretches, t, rows, acc);
         return;
       }
-      Visitor v{this, j, t, &f.matrix, &rows, &acc};
+      Visitor v{this, j, t, &f, &rows, &acc};
       merge_dim(*f.a, *f.b, limit, v);
     };
     std::vector<Rise> body(nproc_);
@@ -768,18 +979,8 @@ SmallVector<int, kMaxRank> squeezed_dims(const FormatsSide& side) {
 }  // namespace
 
 SectionCounts::SectionCounts(const Distribution& dist,
-                             const std::vector<Triplet>& section)
-    : section_{&dist, &section} {
-  const Distribution* formats = formats_source(dist);
-  if (formats == nullptr) {
-    const LayoutView view(dist, section);
-    own_ = view.table().sets;
-    const SmallVector<Extent, 256> sums = set_counts(view.table());
-    counts_.assign(sums.begin(), sums.end());
-    queries_ = view.ownership_queries();
-    return;
-  }
-  side_ = std::make_unique<FormatsSide>(*formats, section, own_);
+                             const std::vector<Triplet>& section) {
+  side_ = std::make_unique<FormatsSide>(dist, section, own_);
   FormatsSide& side = *side_;
   queries_ = side.queries();
   if (side.size() == 0) return;
@@ -789,13 +990,14 @@ SectionCounts::SectionCounts(const Distribution& dist,
   for (int d = 0; d < side.rank(); ++d) {
     const DimSeq& seq = side.dim(d);
     const std::vector<Extent> sums = prefix_set_counts(seq, seq.len);
-    factors.push_back({d, 0, &seq, nullptr, PairMatrix(sums.size(), 1, 0), {}});
+    factors.push_back(
+        {d, 0, &seq, nullptr, SetPairCounts(sums.size(), 1, 0), {}, {}});
     for (std::size_t s = 0; s < sums.size(); ++s) {
       if (sums[s] != 0) {
         factors.back().matrix.add(static_cast<std::uint32_t>(s), 0, sums[s]);
       }
     }
-    factors.back().matrix.seal(/*indexed=*/false);
+    factors.back().seal(/*indexed=*/false);
   }
   for_each_tuple(factors, SetIds{}, SetIds{},
                  [&](const SetIds& ids, const SetIds&, Extent count) {
@@ -810,64 +1012,26 @@ SectionCounts::~SectionCounts() = default;
 
 PairCounts::PairCounts(const MappedSection& a, const MappedSection& b,
                        MemoryDeltaFold* fold, Extent elem_bytes) {
-  const Distribution* fa = formats_source(*a.dist);
-  const Distribution* fb = formats_source(*b.dist);
-  if (fa == nullptr || fb == nullptr) {
-    walk_tables(a, b, fold, elem_bytes);
-    return;
-  }
-  FormatsSide side_a(*fa, *a.section, own_a_);
-  FormatsSide side_b(*fb, *b.section, own_b_);
-  count_formats(side_a, side_b, fold, elem_bytes);
+  FormatsSide side_a(*a.dist, *a.section, own_a_);
+  FormatsSide side_b(*b.dist, *b.section, own_b_);
+  count(side_a, side_b, fold, elem_bytes);
 }
 
-PairCounts::PairCounts(SectionCounts& a, const MappedSection& b) {
-  const Distribution* fb = formats_source(*b.dist);
-  if (a.side_ == nullptr || fb == nullptr) {
-    walk_tables(a.section_, b, nullptr, 0);
-    return;
-  }
-  FormatsSide side_b(*fb, *b.section, own_b_);
-  count_formats(*a.side_, side_b, nullptr, 0);
+PairCounts::PairCounts(SectionCounts& a, const MappedSection& b)
+    : pool_a_(&a.own_) {
+  FormatsSide side_b(*b.dist, *b.section, own_b_);
+  count(*a.side_, side_b, nullptr, 0);
 }
 
-void PairCounts::walk_tables(const MappedSection& a, const MappedSection& b,
-                             MemoryDeltaFold* fold, Extent elem_bytes) {
-  // A side whose owners are not a per-dimension product: walk the two run
-  // tables in lock step.
-  const LayoutView va(*a.dist, *a.section);
-  const LayoutView vb(*b.dist, *b.section);
-  const RunTable& ta = va.table();
-  const RunTable& tb = vb.table();
-  own_a_ = ta.sets;
-  own_b_ = tb.sets;
-  queries_a_ = va.ownership_queries();
-  queries_b_ = vb.ownership_queries();
-  counts_.emplace(own_a_, own_b_, ta.runs.size() + tb.runs.size());
-  for_each_common_segment_ids(
-      ta, tb, [&](Extent, Extent count, std::uint32_t ia, std::uint32_t ib) {
-        counts_->add(ia, ib, count);
-        if (fold == nullptr) return;
-        const OwnerSet& from = own_a_[ia];
-        const OwnerSet& to = own_b_[ib];
-        for (ApId q : to) {
-          if (!owner_set_contains(from, q)) fold->add(q, elem_bytes * count);
-        }
-        for (ApId o : from) {
-          if (!owner_set_contains(to, o)) fold->add(o, -(elem_bytes * count));
-        }
-      });
-}
-
-void PairCounts::count_formats(FormatsSide& side_a, FormatsSide& side_b,
-                               MemoryDeltaFold* fold, Extent elem_bytes) {
+void PairCounts::count(FormatsSide& side_a, FormatsSide& side_b,
+                       MemoryDeltaFold* fold, Extent elem_bytes) {
   queries_a_ = side_a.queries();
   queries_b_ = side_b.queries();
   if (side_a.size() != side_b.size()) {
     throw InternalError("pair counts over sections of different sizes");
   }
   if (side_a.size() == 0) {
-    counts_.emplace(side_a.pool(), side_b.pool(), 0);
+    counts_.emplace(side_a.pool().size(), side_b.pool().size(), 0);
     return;
   }
   const SmallVector<int, kMaxRank> dims_a = squeezed_dims(side_a);
@@ -885,9 +1049,9 @@ void PairCounts::count_formats(FormatsSide& side_a, FormatsSide& side_b,
     }
     factors.push_back(
         {dims_a[j], dims_b[j], &sa, &sb,
-         PairMatrix(sa.list->sets.size(), sb.list->sets.size(),
-                    sa.segments().size() + sb.segments().size()),
-         {}});
+         SetPairCounts(sa.list->sets.size(), sb.list->sets.size(),
+                       sa.segments().size() + sb.segments().size()),
+         {}, {}});
     Factor& f = factors.back();
     const Joint jp = joint_period(sa, sb);
     if (fold != nullptr && j == 0) {
@@ -900,7 +1064,7 @@ void PairCounts::count_formats(FormatsSide& side_a, FormatsSide& side_b,
       v.weight = 1;
       merge_dim(sa, sb, jp.rem, v);
     }
-    f.matrix.seal(/*indexed=*/fold != nullptr);
+    f.seal(/*indexed=*/fold != nullptr);
   }
 
   struct Combo {
@@ -910,7 +1074,7 @@ void PairCounts::count_formats(FormatsSide& side_a, FormatsSide& side_b,
   };
   std::vector<Combo> combos;
   std::size_t tuples = 1;
-  for (const Factor& f : factors) tuples *= f.matrix.entries().size();
+  for (const Factor& f : factors) tuples *= f.entries.size();
   combos.reserve(tuples);
   const SetIds fixed_a = side_a.first_ids();
   const SetIds fixed_b = side_b.first_ids();
@@ -919,7 +1083,7 @@ void PairCounts::count_formats(FormatsSide& side_a, FormatsSide& side_b,
                    combos.push_back(
                        {side_a.compose(ids_a), side_b.compose(ids_b), count});
                  });
-  counts_.emplace(side_a.pool(), side_b.pool(), combos.size());
+  counts_.emplace(side_a.pool().size(), side_b.pool().size(), combos.size());
   for (const Combo& c : combos) counts_->add(c.ia, c.ib, c.count);
 
   if (fold == nullptr) return;
@@ -935,5 +1099,90 @@ void PairCounts::count_formats(FormatsSide& side_a, FormatsSide& side_b,
                       static_cast<std::size_t>(top) + 1);
   folder.fold([&](ApId p, const Rise& r) { fold->add_folded(p, r.net, r.rise); });
 }
+
+namespace detail {
+
+void build_run_table(const Distribution& dist,
+                     const std::vector<Triplet>& section, RunTable& out,
+                     bool use_dim_memo) {
+  // The table's rows compose dimension 0's segments with the outer
+  // dimensions' set ids. A row's owner sets depend only on its outer ids,
+  // so each row recomposes its dimension-0 sets only when they change.
+  FormatsSide side(dist, section, out.sets,
+                   use_dim_memo ? ListSource::kMemo : ListSource::kFresh);
+  out.ownership_queries += side.queries();
+  if (side.size() == 0) return;
+  const int rank = side.rank();
+  if (rank == 0) {  // a scalar: its one owner set
+    out.runs.push_back({0, 1, side.compose(SetIds{})});
+    return;
+  }
+
+  // Each outer dimension's list expanded into per-position set ids.
+  std::vector<std::vector<std::uint32_t>> outer_ids(
+      static_cast<std::size_t>(rank - 1));
+  Extent rows = 1;
+  for (int d = 1; d < rank; ++d) {
+    auto& ids = outer_ids[static_cast<std::size_t>(d - 1)];
+    ids.reserve(static_cast<std::size_t>(side.dim(d).len));
+    for (const DimSegment& s : side.dim(d).segments()) {
+      ids.insert(ids.end(), static_cast<std::size_t>(s.count), s.set);
+    }
+    rows *= side.dim(d).len;
+  }
+
+  const DimSeq& dim0 = side.dim(0);
+  // Every dim-0 segment of every row opening a run bounds the table.
+  out.runs.reserve(dim0.segments().size() * static_cast<std::size_t>(rows));
+  std::vector<std::uint32_t> row_ids(dim0.list->sets.size());
+  SetIds ids{};
+  bool row_valid = false;
+  SmallVector<Extent, kMaxRank> opos(static_cast<std::size_t>(rank - 1), 0);
+  Extent linear = 0;
+  while (true) {
+    bool changed = !row_valid;
+    for (std::size_t o = 0; o + 1 < static_cast<std::size_t>(rank); ++o) {
+      const std::uint32_t id = outer_ids[o][static_cast<std::size_t>(opos[o])];
+      if (id != ids[o + 1]) {
+        ids[o + 1] = id;
+        changed = true;
+      }
+    }
+    if (changed) {
+      for (std::uint32_t s0 = 0; s0 < row_ids.size(); ++s0) {
+        ids[0] = s0;
+        row_ids[s0] = side.compose(ids);
+      }
+      row_valid = true;
+    }
+    // Emit this row's runs, merging adjacent equal owner sets (distinct
+    // per-dimension positions can compose to one owner set, e.g. under a
+    // folded oversize arrangement).
+    const std::size_t row_first = out.runs.size();
+    Extent k = 0;
+    for (const DimSegment& s : dim0.segments()) {
+      const std::uint32_t id = row_ids[s.set];
+      if (out.runs.size() > row_first && out.runs.back().set == id) {
+        out.runs.back().count += s.count;
+      } else {
+        out.runs.push_back({linear + k, s.count, id});
+      }
+      k += s.count;
+    }
+    linear += dim0.len;
+    int d = 1;
+    for (; d < rank; ++d) {
+      Extent& o = opos[static_cast<std::size_t>(d - 1)];
+      if (++o < side.dim(d).len) break;
+      o = 0;
+    }
+    if (d == rank) break;
+  }
+  // Merges (rare: only when distinct positions fold onto one owner set)
+  // can leave most of the reservation unused.
+  if (out.runs.size() * 2 < out.runs.capacity()) out.runs.shrink_to_fit();
+}
+
+}  // namespace detail
 
 }  // namespace hpfnt

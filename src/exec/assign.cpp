@@ -126,7 +126,7 @@ AssignResult assign_impl(ProgramState& state, const Distribution& lhs_dist,
                           .count();
 
   // Pass 3: write the staged results to canonical storage (section order
-  // equals the run tables' linear order, so no view is needed here) —
+  // is Fortran order, so no view is needed here) —
   // whole flat LHS segments at a time.
   if (engine == EvalEngine::kSegment) {
     Extent written = 0;

@@ -14,7 +14,7 @@
 //      buffer (Fortran semantics: the snapshot completes before the LHS
 //      changes);
 //   2. pricing — the owner-computes communication is charged per
-//      constant-owner run segment (core/layout_view.hpp), or the whole
+//      owner-set pair (core/pair_counts.hpp), or the whole
 //      priced schedule replays from the plan cache (exec/comm_plan.hpp);
 //   3. writeback — the staged values land in canonical storage one flat
 //      LHS segment at a time (ProgramState::store_segment).
@@ -46,7 +46,7 @@ struct AssignResult {
   /// this is the assignment's total read count, whatever the leaf count.
   Extent local_reads = 0;
   /// Per-element payload probes behind this assignment's cold pricing: the
-  /// probes of the segment lists (or run tables) its sections read, counted
+  /// probes of the segment lists its sections read, counted
   /// whether or not they were memoized; 0 when the priced schedule was
   /// replayed from the plan cache (exec/comm_plan.hpp).
   Extent ownership_queries = 0;

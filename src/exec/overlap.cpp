@@ -117,14 +117,17 @@ std::optional<std::vector<Extent>> section_shift(
   return shifts;
 }
 
-bool shadow_covers(const Distribution& lhs, const Distribution& leaf,
+bool shadow_covers(const Distribution& lhs_dist, const Distribution& leaf_dist,
                    const std::vector<Extent>& shifts,
                    const std::vector<ShadowWidth>& shadow) {
   // The coverage argument needs the reader of index i and the owner of the
   // operand element i+shift to live on the SAME mapping: then every remote
   // read is at distance |shift| beyond the reader's own block, i.e. inside
-  // a ghost region of at least that width. Aligned/constructed or
+  // a ghost region of at least that width. An identity alignment is its
+  // base's mapping (CONSTRUCT(id, δ) = δ); other aligned/constructed or
   // section-view payloads fall back to the sync phase.
+  const Distribution& lhs = resolve_identity(lhs_dist);
+  const Distribution& leaf = resolve_identity(leaf_dist);
   if (lhs.kind() != Distribution::Kind::kFormats ||
       leaf.kind() != Distribution::Kind::kFormats) {
     return false;
@@ -156,11 +159,13 @@ CommClass classify_operand_comm(const Distribution& lhs,
   bool shifted = false;
   for (Extent sft : *shifts) shifted |= (sft != 0);
   if (!shifted) {
-    // The identical section on an identical mapping: the owner of each LHS
-    // element owns the operand element, so every read is local. On any
-    // other mapping some reads may cross processors synchronously.
-    return lhs.structurally_equal(leaf) ? CommClass::kLocal
-                                        : CommClass::kSync;
+    // The identical section on an identical mapping (an identity
+    // alignment being its base's): the owner of each LHS element owns the
+    // operand element, so every read is local. On any other mapping some
+    // reads may cross processors synchronously.
+    return resolve_identity(lhs).structurally_equal(resolve_identity(leaf))
+               ? CommClass::kLocal
+               : CommClass::kSync;
   }
   return shadow_covers(lhs, leaf, *shifts, shadow) ? CommClass::kPosted
                                                    : CommClass::kSync;

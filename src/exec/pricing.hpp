@@ -20,11 +20,10 @@
 // tests/test_cost_model.cpp checks the byte-exact equality anyway.
 //
 // Every walk charges once per distinct owner-set pair, from the pair
-// counts of core/pair_counts.hpp: for formats layouts (and arrays
-// identity-aligned to one) they are composed per dimension without a run
-// table; only a non-identity alignment or a section view is counted by
-// walking run tables. The executor and the cost model read the same
-// counts.
+// counts of core/pair_counts.hpp, composed per dimension without a run
+// table for every payload kind: formats layouts, aligned arrays, orphaned
+// snapshots and section views alike reduce to their root's per-dimension
+// lists. The executor and the cost model read the same counts.
 //
 // The Engine concept: transfer_block(src, dst, elem_bytes, count),
 // count_local_reads(n), compute(p, flops), begin_posted(), end_posted().
@@ -59,8 +58,8 @@ namespace hpfnt {
 /// processor and into its local reads, so the summed charges price
 /// exactly as per-segment ones would. `leaf_bytes[l]` is operand l's
 /// element size, `elem_bytes` the LHS's, `flops` the per-element cost of
-/// the RHS. Returns the ownership queries of the lists (or run tables)
-/// read, one count per section.
+/// the RHS. Returns the ownership queries of the segment lists read, one
+/// count per section.
 template <class Engine>
 Extent charge_assign_step(const MappedSection& lhs,
                           const std::vector<MappedSection>& leaves,

@@ -6,8 +6,8 @@
 // A SecExpr is an elementwise expression tree over array sections and
 // scalar constants. All section leaves must share one shape — the shape of
 // the assignment. The communication the evaluation implies is charged by
-// the assignment executor per constant-owner run of each leaf's section
-// (leaves() + core/layout_view.hpp), not per element.
+// the assignment executor per owner-set pair of each leaf's section and
+// the LHS's (leaves() + core/pair_counts.hpp), not per element.
 //
 // Numerics run through the segment-vectorized engine: the tree is compiled
 // once per statement into a flat postfix program (SecProgram, cached on the

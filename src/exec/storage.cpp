@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "core/layout_view.hpp"
 #include "core/pair_counts.hpp"
 #include "exec/overlap.hpp"
 #include "exec/pricing.hpp"
@@ -62,41 +61,39 @@ const ProgramState::Store& ProgramState::store(ArrayId id) const {
 
 namespace {
 
-// Calls fn(p, bytes) for every owner p of every owner set of the layout,
-// with the bytes of the set's elements: each replica counted once per
-// owner, a whole owner set at a time (SectionCounts: per-dimension counts
-// for formats layouts).
+// Calls fn(owners, count) once per owner set of the layout, with the
+// number of elements it owns (SectionCounts: per-dimension counts, no run
+// table).
 template <class Fn>
-void for_each_replica_share(const Distribution& dist, Extent elem_bytes,
-                            Fn&& fn) {
+void for_each_owner_set(const Distribution& dist, Fn&& fn) {
   const SectionCounts counts(dist, dist.domain().dims());
   for (std::size_t i = 0; i < counts.counts().size(); ++i) {
-    for (ApId p : counts.sets()[i]) fn(p, elem_bytes * counts.counts()[i]);
+    fn(counts.sets()[i], counts.counts()[i]);
   }
 }
 
 }  // namespace
 
 void ProgramState::account_allocate(const Store& s) {
-  for_each_replica_share(s.dist, s.elem_bytes, [&](ApId p, Extent bytes) {
-    memory_.allocate(p, bytes);
+  for_each_owner_set(s.dist, [&](const OwnerSet& owners, Extent count) {
+    for (ApId p : owners) memory_.allocate(p, s.elem_bytes * count);
   });
 }
 
 void ProgramState::account_release(const Store& s) {
-  for_each_replica_share(s.dist, s.elem_bytes, [&](ApId p, Extent bytes) {
-    memory_.release(p, bytes);
+  for_each_owner_set(s.dist, [&](const OwnerSet& owners, Extent count) {
+    for (ApId p : owners) memory_.release(p, s.elem_bytes * count);
   });
 }
 
 void ProgramState::account_shadow(const Store& s, bool allocate) {
-  if (s.shadow.empty()) return;
-  if (!s.dist.valid() || s.dist.kind() != Distribution::Kind::kFormats) {
-    // Derived (aligned/section-view) layouts never post halo
-    // exchanges (exec/overlap.hpp shadow_covers), so they materialize no
-    // ghost cells either.
-    return;
-  }
+  if (s.shadow.empty() || !s.dist.valid()) return;
+  // An identity-aligned layout is its base's (CONSTRUCT(id, δ) = δ). Other
+  // derived (aligned/section-view) layouts never post halo exchanges
+  // (exec/overlap.hpp shadow_covers), so they materialize no ghost cells
+  // either.
+  const Distribution& dist = resolve_identity(s.dist);
+  if (dist.kind() != Distribution::Kind::kFormats) return;
   // Per-dimension geometry: collapsed dimensions contribute their whole
   // extent as a constant factor; distributed dimensions contribute their
   // per-position local counts and (for contiguous mappings with declared
@@ -110,7 +107,7 @@ void ProgramState::account_shadow(const Store& s, bool allocate) {
   Extent collapsed_factor = 1;
   std::vector<DimGeom> dims;  // non-collapsed dims, ascending order
   for (int d = 0; d < s.domain.rank(); ++d) {
-    const DimMapping& m = s.dist.dim_mapping(d);
+    const DimMapping& m = dist.dim_mapping(d);
     if (m.kind() == FormatKind::kCollapsed) {
       collapsed_factor *= m.n();
       continue;
@@ -136,7 +133,7 @@ void ProgramState::account_shadow(const Store& s, bool allocate) {
   // Walk the cartesian product of target positions; each position tuple's
   // ghost cells are the per-dimension face strips (no corners):
   //   sum_d ghost_d(p_d) * prod_{e != d} local_e(p_e).
-  const ProcessorRef& target = s.dist.target();
+  const ProcessorRef& target = dist.target();
   const std::size_t k = dims.size();
   std::array<DimOwnerSet, kMaxRank> pos_sets;
   std::array<const DimOwnerSet*, kMaxRank> set_ptrs{};
@@ -481,19 +478,18 @@ StepStats ProgramState::checkpoint(Checkpoint& out, const std::string& label) {
   for (const auto& [id, s] : stores_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
 
-  // Price the gather first: each constant-owner run travels once, from its
-  // minimum surviving replica to the coordinator (coordinator-owned runs
-  // are free local reads, as always). A fault exhaustion throws out of
-  // end_step with nothing snapshotted.
+  // Price the gather first: each owner set's elements travel once, from
+  // its minimum surviving replica to the coordinator (coordinator-owned
+  // elements are free local reads, as always). A fault exhaustion throws
+  // out of end_step with nothing snapshotted.
   comm_.begin_step(label);
   StepGuard guard(comm_);
   for (ArrayId id : ids) {
     const Store& s = stores_.at(id);
-    const LayoutView view = LayoutView::whole(s.dist);
-    for (const OwnerRun& r : view.runs()) {
-      comm_.transfer_block(min_surviving_owner(view.owners(r), *failed),
-                           coordinator, s.elem_bytes, r.count);
-    }
+    for_each_owner_set(s.dist, [&](const OwnerSet& owners, Extent count) {
+      comm_.transfer_block(min_surviving_owner(owners, *failed), coordinator,
+                           s.elem_bytes, count);
+    });
   }
   StepStats step = comm_.end_step();
   guard.dismiss();
@@ -525,20 +521,19 @@ StepStats ProgramState::restore(const Checkpoint& ckpt,
     }
   }
 
-  // The mirror scatter: the coordinator sends each constant-owner run of
+  // The mirror scatter: the coordinator sends each owner set's elements of
   // the array's CURRENT layout to every owner (replicas each receive their
-  // copy; coordinator-owned runs are local).
+  // copy; coordinator-owned elements are local).
   const ApId coordinator = machine_->survivors().front();
   comm_.begin_step(label);
   StepGuard guard(comm_);
   for (const CheckpointEntry& e : ckpt.entries) {
     const Store& s = stores_.at(e.id);
-    const LayoutView view = LayoutView::whole(s.dist);
-    for (const OwnerRun& r : view.runs()) {
-      for (ApId p : view.owners(r)) {
-        comm_.transfer_block(coordinator, p, s.elem_bytes, r.count);
+    for_each_owner_set(s.dist, [&](const OwnerSet& owners, Extent count) {
+      for (ApId p : owners) {
+        comm_.transfer_block(coordinator, p, s.elem_bytes, count);
       }
-    }
+    });
   }
   StepStats step = comm_.end_step();
   guard.dismiss();

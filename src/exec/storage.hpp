@@ -151,7 +151,7 @@ class ProgramState {
   /// Whole-array checksum (sums in storage order, as always).
   double checksum(ArrayId id) const;
 
-  // --- data movement steps (priced per constant-owner run) ----------------
+  // --- data movement steps (priced per owner-set pair) --------------------
 
   /// Executes a remap event: moves every element from its old owners to its
   /// new owners (one transfer_block per owner-set pair and new owner that
@@ -177,15 +177,16 @@ class ProgramState {
 
   /// Snapshots every stored array's canonical values and current layout
   /// into `out` (replacing its contents), priced as one gather step: each
-  /// constant-owner run travels from its minimum surviving replica to the
-  /// coordinator, the minimum surviving processor. The snapshot models
+  /// owner set's elements (SectionCounts, core/pair_counts.hpp) travel
+  /// from its minimum surviving replica to the coordinator, the minimum
+  /// surviving processor. The snapshot models
   /// stable storage outside the processor array (fault/checkpoint.hpp), so
   /// it occupies no simulated memory and survives any later failure.
   StepStats checkpoint(Checkpoint& out, const std::string& label);
 
   /// Writes a checkpoint's values back onto the arrays' CURRENT layouts,
   /// priced as the mirror scatter step (coordinator to every owner of
-  /// every run). Validates every entry — array still stored, domain and
+  /// every owner set). Validates every entry — array still stored, domain and
   /// element size unchanged — before pricing or touching anything, and
   /// commits the values only after the step completes, so a thrown
   /// ConformanceError or TransferFaultError leaves the state unmodified.

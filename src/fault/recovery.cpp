@@ -4,6 +4,7 @@
 
 #include "balance/partition.hpp"
 #include "core/layout_view.hpp"
+#include "core/pair_counts.hpp"
 #include "exec/comm_plan.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
@@ -32,9 +33,9 @@ std::string RecoveryReport::to_string() const {
 namespace {
 
 bool layout_references(const Distribution& dist, const FailureSet& failed) {
-  const LayoutView view = LayoutView::whole(dist);
-  for (const OwnerRun& r : view.runs()) {
-    for (ApId q : view.owners(r)) {
+  const SectionCounts counts(dist, dist.domain().dims());
+  for (const OwnerSet& owners : counts.sets()) {
+    for (ApId q : owners) {
       if (failed.contains(q)) return true;
     }
   }
@@ -90,8 +91,6 @@ StepStats migrate_event(ProgramState& state, const DistArray& array,
   CommEngine& comm = state.comm();
   const Extent eb = elem_bytes(array.type());
   const ApId coordinator = state.machine().survivors().front();
-  const LayoutView from_view = LayoutView::whole(event.from);
-  const LayoutView to_view = LayoutView::whole(event.to);
 
   struct Patch {
     Extent begin = 0;
@@ -104,46 +103,47 @@ StepStats migrate_event(ProgramState& state, const DistArray& array,
   comm.begin_step(event.reason.empty() ? ("RECOVER " + array.name())
                                        : event.reason);
   StepGuard guard(comm);
-  for_each_common_segment(
-      from_view.table(), to_view.table(),
-      [&](Extent begin, Extent count, const OwnerSet& old_owners,
-          const OwnerSet& new_owners) {
-        // The ordinary remap rule with dead senders excluded: the minimum
-        // SURVIVING replica sends to every new owner that lacked the value.
-        ApId src = -1;
-        for (ApId q : old_owners) {
-          if (failed.contains(q)) continue;
-          if (src < 0 || q < src) src = q;
+  // The remap's pair counts and replica deltas (the ordinary remap rule),
+  // with dead senders excluded: the minimum SURVIVING replica sends to
+  // every new owner that lacked the value.
+  const std::vector<Triplet>& whole = event.from.domain().dims();
+  const PairCounts pairs({&event.from, &whole}, {&event.to, &whole}, &deltas,
+                         eb);
+  bool lost_all = false;
+  pairs.for_each([&](Extent count, const OwnerSet& old_owners,
+                     const OwnerSet& new_owners) {
+    ApId src = -1;
+    for (ApId q : old_owners) {
+      if (failed.contains(q)) continue;
+      if (src < 0 || q < src) src = q;
+    }
+    if (src >= 0) {
+      for (ApId q : new_owners) {
+        if (!owner_set_contains(old_owners, q)) {
+          comm.transfer_block(src, q, eb, count);
         }
-        if (src >= 0) {
-          for (ApId q : new_owners) {
-            if (!owner_set_contains(old_owners, q)) {
-              comm.transfer_block(src, q, eb, count);
-            }
-          }
-        } else if (entry != nullptr) {
-          // Every replica died with the failure: the coordinator re-reads
-          // the segment from stable storage and scatters it.
-          for (ApId q : new_owners) {
-            comm.transfer_block(coordinator, q, eb, count);
-          }
-          patches.push_back({begin, count, /*from_ckpt=*/true});
-        } else {
-          // Dead and uncheckpointed: the data is gone. Zero-fill and say
-          // so — no message can conjure it back.
-          patches.push_back({begin, count, /*from_ckpt=*/false});
-        }
-        for (ApId q : new_owners) {
-          if (!owner_set_contains(old_owners, q)) {
-            deltas.add(q, eb * count);
-          }
-        }
-        for (ApId o : old_owners) {
-          if (!owner_set_contains(new_owners, o)) {
-            deltas.add(o, -(eb * count));
-          }
-        }
-      });
+      }
+      return;
+    }
+    lost_all = true;
+    if (entry == nullptr) return;
+    // Every replica died with the failure: the coordinator re-reads the
+    // elements from stable storage and scatters them.
+    for (ApId q : new_owners) comm.transfer_block(coordinator, q, eb, count);
+  });
+  if (lost_all) {
+    // Where the old owner sets with no survivor lie: each such run is
+    // patched from the checkpoint, or — dead and uncheckpointed, the data
+    // is gone and no message can conjure it back — zero-filled.
+    const LayoutView old_view = LayoutView::whole(event.from);
+    for (const OwnerRun& r : old_view.runs()) {
+      const OwnerSet& owners = old_view.owners(r);
+      if (std::all_of(owners.begin(), owners.end(),
+                      [&](ApId q) { return failed.contains(q); })) {
+        patches.push_back({r.begin, r.count, entry != nullptr});
+      }
+    }
+  }
   StepStats step = comm.end_step();
   guard.dismiss();
 

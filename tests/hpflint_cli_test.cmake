@@ -195,6 +195,59 @@ foreach(case IN ITEMS shadow_max shadow_wide)
   check("${case}: execution error reports line 3" has_exec_line GREATER -1)
 endforeach()
 
+# An identity-aligned array has its base's mapping (CONSTRUCT(id, δ) = δ,
+# Definition 4), so the phase rules treat it as that mapping, in every mode:
+# a stencil between U (BLOCK, SHADOW U(1:1)) and V prints exactly what it
+# prints with V distributed like U. With V on the left both reads post into
+# U's shadow (before, they classified SYNC-REMOTE and the SHADOW was
+# reported dead); with V read, its missing shadow is the HS001 it is for
+# the BLOCK twin. A copy onto an array identity-aligned to its source reads
+# locally (before: HC003).
+set(stencil_head "REAL U(64)\nREAL V(64)\n!HPF$ PROCESSORS Q(4)\n!HPF$ DISTRIBUTE U(BLOCK) ONTO Q\n!HPF$ SHADOW U(1:1)\n")
+set(stencil_lhs_body "V(2:63) = (U(1:62) + U(3:64)) / 2\n")
+set(stencil_leaf_body "U(2:63) = (V(1:62) + V(3:64)) / 2\n")
+foreach(role lhs leaf)
+  file(WRITE "${WORK_DIR}/stencil_${role}_align.hpf"
+    "${stencil_head}!HPF$ ALIGN V(I) WITH U(I)\n${stencil_${role}_body}")
+  file(WRITE "${WORK_DIR}/stencil_${role}_block.hpf"
+    "${stencil_head}!HPF$ DISTRIBUTE V(BLOCK) ONTO Q\n${stencil_${role}_body}")
+endforeach()
+file(WRITE "${WORK_DIR}/aligned_copy.hpf"
+  "REAL A(64)\nREAL B(64)\n!HPF$ DISTRIBUTE A(BLOCK)\n!HPF$ ALIGN B(I) WITH A(I)\nB(1:64) = A(1:64)\n")
+foreach(mode IN ITEMS "" --cost --exec)
+  foreach(role lhs leaf)
+    run_hpflint(0 ${mode} "${WORK_DIR}/stencil_${role}_block.hpf")
+    string(REPLACE "stencil_${role}_block.hpf" "stencil.hpf" block_out "${out}")
+    run_hpflint(0 ${mode} "${WORK_DIR}/stencil_${role}_align.hpf")
+    string(REPLACE "stencil_${role}_align.hpf" "stencil.hpf" align_out "${out}")
+    check("stencil ${role} ${mode}: identity ALIGN prints what BLOCK prints"
+          align_out STREQUAL block_out)
+  endforeach()
+  # --cost prints no lint notes; its heaviest pair names the phase.
+  if(mode STREQUAL "--cost")
+    set(posted_note "(4 bytes, posted)")
+    set(local_note "totals: 0 msgs, 0 bytes, 64 local reads")
+  else()
+    set(posted_note "[HC002] operand U(1:62): POSTED")
+    set(local_note "aligned_copy.hpf:5:11: note: [HC001] operand A(1:64): LOCAL")
+  endif()
+  run_hpflint(0 ${mode} "${WORK_DIR}/stencil_lhs_align.hpf")
+  string(FIND "${out}" "${posted_note}" has_posted)
+  check("stencil lhs ${mode}: the aligned LHS posts its reads"
+        has_posted GREATER -1)
+  if(NOT mode STREQUAL "--cost")
+    run_hpflint(0 ${mode} "${WORK_DIR}/stencil_leaf_align.hpf")
+    string(FIND "${out}" "[HS001] operand V(1:62)" has_hs001)
+    check("stencil leaf ${mode}: the aligned leaf's missing SHADOW is HS001"
+          has_hs001 GREATER -1)
+  endif()
+  run_hpflint(0 ${mode} "${WORK_DIR}/aligned_copy.hpf")
+  string(FIND "${out}" "${local_note}" has_local)
+  string(FIND "${out}" "HC003" has_sync)
+  check("aligned_copy ${mode}: reads locally, no HC003"
+        has_local GREATER -1 AND has_sync EQUAL -1)
+endforeach()
+
 # --- --json line schema -----------------------------------------------------
 run_hpflint(0 --json "${SCRIPTS}/bad_undershadow.hpf")
 string(REGEX REPLACE "\n$" "" json_out "${out}")

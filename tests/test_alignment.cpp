@@ -234,6 +234,28 @@ TEST(AlignmentFunctionApi, ImageOutsideDomainThrows) {
   EXPECT_THROW(alpha.image(idx({5})), MappingError);
 }
 
+TEST(AlignmentFunctionApi, AligneeDimensionInTwoBaseDimensionsThrows) {
+  // §5.1's reduced form, enforced where every alignment function is built
+  // (not only by AlignSpec::reduce): alignee dimension 0 cannot feed base
+  // dimensions 0 and 1, or the mapping would not be a per-dimension
+  // product of the base's.
+  std::vector<AlignmentFunction::BaseDim> dims(2);
+  for (AlignmentFunction::BaseDim& d : dims) {
+    d.kind = AlignmentFunction::BaseDim::Kind::kExpr;
+    d.alignee_dim = 0;
+  }
+  dims[0].expr = AlignExpr::dummy(0);
+  dims[1].expr = AlignExpr::dummy(0) + 1;
+  EXPECT_THROW(AlignmentFunction(IndexDomain{Dim(1, 4)},
+                                 IndexDomain{Dim(1, 4), Dim(1, 5)}, dims),
+               ConformanceError);
+  // Feeding one base dimension, with the other replicated, is the reduced
+  // form.
+  dims[1].kind = AlignmentFunction::BaseDim::Kind::kReplicated;
+  EXPECT_NO_THROW(AlignmentFunction(IndexDomain{Dim(1, 4)},
+                                    IndexDomain{Dim(1, 4), Dim(1, 5)}, dims));
+}
+
 TEST(AlignmentFunctionApi, Rendering) {
   AlignSpec spec({AligneeSub::dummy(0, "I")},
                  {BaseSub::of_expr(AlignExpr::dummy(0) * 2), BaseSub::star()});

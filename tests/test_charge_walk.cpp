@@ -1,17 +1,19 @@
 // The shared charge walks (exec/pricing.hpp) charge once per distinct
 // owner-set pair, with the pair's element count from the per-dimension
-// pair counts of core/pair_counts.hpp (run tables only for sides that are
-// not a formats product):
+// pair counts of core/pair_counts.hpp, for every payload kind:
 //
 //   * exact engine-call counts: a remap or an assign leaf makes at most one
 //     call per (set, set) pair, however many segments the pair covers;
 //   * a golden of the remap_cold sequence's StepStats and memory gauges,
 //     fixed before the walks aggregated, so the summed charges are shown to
-//     price exactly as the per-segment ones did — and the same sequence
-//     builds no run table;
-//   * property tests against a test-local per-segment reference over
-//     random run tables: the pair counts, per-set counts, priced stats and
-//     folded memory rows of random formats, sections and arrangements.
+//     price exactly as the per-segment ones did — and neither that sequence
+//     nor one with aligned, orphaned and section-view payloads builds a run
+//     table;
+//   * property tests against a test-local per-segment reference over run
+//     tables built element by element from the definitions: the pair
+//     counts, per-set counts, priced stats and folded memory rows of random
+//     formats, alignments, section views and chains of them, sections and
+//     arrangements.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -85,6 +87,41 @@ std::uint64_t bits_of(double d) {
   std::uint64_t u = 0;
   std::memcpy(&u, &d, sizeof u);
   return u;
+}
+
+/// Walks two run tables over the same linear position space in lock step,
+/// calling fn(begin, count, id_a, id_b) once per maximal segment on which
+/// both owner sets are constant; id_a and id_b are the two runs' set ids.
+/// The reference for the pair counts, kept here since the library no
+/// longer walks tables.
+template <typename Fn>
+void for_each_common_segment_ids(const RunTable& a, const RunTable& b,
+                                 Fn&& fn) {
+  const Extent total = a.section_domain.size();
+  ASSERT_EQ(total, b.section_domain.size());
+  std::size_t ia = 0;
+  std::size_t ib = 0;
+  Extent pos = 0;
+  while (pos < total) {
+    const OwnerRun& ra = a.runs[ia];
+    const OwnerRun& rb = b.runs[ib];
+    const Extent end_a = ra.begin + ra.count;
+    const Extent end_b = rb.begin + rb.count;
+    const Extent end = std::min(end_a, end_b);
+    fn(pos, end - pos, ra.set, rb.set);
+    pos = end;
+    if (pos == end_a) ++ia;
+    if (pos == end_b) ++ib;
+  }
+}
+
+/// for_each_common_segment_ids with the pooled sets in place of the ids.
+template <typename Fn>
+void for_each_common_segment(const RunTable& a, const RunTable& b, Fn&& fn) {
+  for_each_common_segment_ids(a, b, [&](Extent begin, Extent count,
+                                        std::uint32_t ia, std::uint32_t ib) {
+    fn(begin, count, a.sets[ia], b.sets[ib]);
+  });
 }
 
 // --- exact engine-call counts ------------------------------------------------
@@ -355,16 +392,189 @@ TEST(ChargeWalkGolden, ColdRemapSequenceBuildsNoRunTable) {
   }
 }
 
+/// Every payload `dist` is built on: itself, and (transitively) the base
+/// of an alignment or the parent of a section view.
+void collect_payloads(const Distribution& dist,
+                      std::vector<Distribution>& out) {
+  out.push_back(dist);
+  if (dist.kind() == Distribution::Kind::kConstructed) {
+    collect_payloads(dist.base(), out);
+  } else if (dist.kind() == Distribution::Kind::kSectionView) {
+    collect_payloads(dist.section_parent(), out);
+  }
+}
+
+TEST(ChargeWalkGolden, EveryPayloadKindPricesWithoutARunTable) {
+  // An array aligned by a clamping offset, one aligned through a MAX
+  // subscript, an array orphaned by a REALIGN of its base, and the
+  // section-view dummy of a CALL inheriting a section of an aligned actual:
+  // creation, assigns, the call's copies and the remaps all count from the
+  // payloads' per-dimension normal form, so no payload (nor any base or
+  // parent beneath one) memoizes a run table.
+  Machine machine(8);
+  ProcessorSpace space(8);
+  DataEnv env(space);
+  ProgramState state(machine);
+  const ProcessorRef q(space.declare("Q", IndexDomain::of_extents({8})));
+  const IndexDomain dom{Dim(64)};
+  DistArray& a = env.real("A", dom);
+  DistArray& b = env.real("B", dom);
+  DistArray& c = env.real("C", dom);
+  DistArray& d = env.real("D", dom);
+  DistArray& e = env.real("E", dom);
+  DistArray& f = env.real("F", dom);
+  env.distribute(a, {DistFormat::cyclic(2)}, q);
+  env.distribute(e, {DistFormat::block()}, q);
+  env.distribute(f, {DistFormat::cyclic(3)}, q);
+  env.dynamic(a);
+  env.dynamic(f);
+  auto align = [&](DistArray& alignee, DistArray& base, AlignExpr expr) {
+    env.align(alignee, base,
+              AlignSpec({AligneeSub::dummy(0, "I")},
+                        {BaseSub::of_expr(std::move(expr))}));
+  };
+  align(b, a, AlignExpr::dummy(0) + 5);  // B(60:64) clamp to A(64)
+  align(c, a, AlignExpr::max(AlignExpr::dummy(0) * 2 - 40,
+                             AlignExpr::constant(1)));
+  align(d, f, AlignExpr::dummy(0) * -1 + 65);
+  for (DistArray* x : {&a, &b, &c, &d, &e, &f}) state.create(env, *x);
+
+  std::vector<Distribution> payloads;
+  auto note = [&](const Distribution& dist) { collect_payloads(dist, payloads); };
+  // REALIGN F WITH E orphans D: it keeps CONSTRUCT(α, δ_F) of the old F.
+  const RemapEvent realigned = env.realign(f, e, AlignSpec::colons(1));
+  note(realigned.from);
+  note(realigned.to);
+  apply_remaps(state, env, {realigned});
+  ASSERT_TRUE(env.is_primary(d));
+  ASSERT_EQ(env.distribution_of(d).kind(), Distribution::Kind::kConstructed);
+
+  assign(state, env, b, SecExpr::whole(a) + 1.0, "B");
+  assign(state, env, c, SecExpr::whole(d) * 2.0, "C");
+  assign(state, env, d, {Triplet(1, 32)},
+         SecExpr::section(b, {Triplet(33, 64)}) + SecExpr::section(c, {Triplet(64, 2, -2)}),
+         "D");
+
+  ProcedureSig sub{"SUB", {DummySpec{"X", ElemType::kReal,
+                                     DummyMapping::inherit(), false}}};
+  CallFrame frame =
+      env.call(sub, {ActualArg::of_section(c.id(), {Triplet(3, 61, 2)})});
+  enter_call(state, env, frame);
+  const DistArray& x = frame.callee->find("X");
+  ASSERT_EQ(state.layout(x.id()).kind(), Distribution::Kind::kSectionView);
+  assign(state, *frame.callee, x, SecExpr::whole(x) * 2.0, "X");
+  note(state.layout(x.id()));
+  for (const BoundArg& arg : frame.args) {
+    note(arg.inherited);
+    note(arg.entry);
+  }
+  exit_call(state, env, frame);
+
+  // REDISTRIBUTE A: B and C follow (§4.2), constructed to constructed.
+  const std::vector<RemapEvent> events =
+      env.redistribute(a, {DistFormat::block()}, q);
+  ASSERT_EQ(events.size(), 3u);
+  for (const RemapEvent& ev : events) {
+    note(ev.from);
+    note(ev.to);
+  }
+  apply_remaps(state, env, events);
+  assign(state, env, a, SecExpr::whole(b) + SecExpr::whole(c), "A");
+
+  for (const DistArray* arr : {&a, &b, &c, &d, &e, &f}) {
+    note(env.distribution_of(*arr));
+    note(state.layout(arr->id()));
+  }
+  bool aligned = false;
+  bool view = false;
+  for (const Distribution& p : payloads) {
+    aligned |= p.kind() == Distribution::Kind::kConstructed &&
+               !p.alignment().is_identity();
+    view |= p.kind() == Distribution::Kind::kSectionView;
+  }
+  EXPECT_TRUE(aligned);
+  EXPECT_TRUE(view);
+  for (std::size_t k = 0; k < payloads.size(); ++k) {
+    SCOPED_TRACE(cat("payload ", k, ": ", payloads[k].to_string()));
+    EXPECT_EQ(payloads[k].run_memo().whole_table(), nullptr);
+    EXPECT_EQ(payloads[k].run_memo().size(), 0u);
+  }
+}
+
 // --- the pair walk against a per-segment reference ---------------------------
+
+/// δ(i) evaluated straight from the definitions, one element at a time:
+/// owners_uncached for a formats payload, Definition 4's union over α's
+/// images for an alignment, and the parent's index for a section view. It
+/// shares no code with the library's per-dimension algebra.
+OwnerSet ref_owners(const Distribution& dist, const IndexTuple& index) {
+  switch (dist.kind()) {
+    case Distribution::Kind::kFormats:
+      return dist.owners_uncached(index);
+    case Distribution::Kind::kSectionView: {
+      const Distribution& parent = dist.section_parent();
+      return ref_owners(parent, parent.domain().section_parent_index(
+                                    dist.section_triplets(), index));
+    }
+    case Distribution::Kind::kConstructed:
+      break;
+  }
+  OwnerSet out;
+  dist.alignment().for_each_image(index, [&](const IndexTuple& j) {
+    for (ApId p : ref_owners(dist.base(), j)) {
+      if (!owner_set_contains(out, p)) out.push_back(p);
+    }
+  });
+  return out;
+}
+
+/// The run table of `section` built from ref_owners element by element in
+/// Fortran order, runs cut at every row: the reference the algebra is
+/// checked against.
+RunTable element_table(const Distribution& dist,
+                       const std::vector<Triplet>& section) {
+  RunTable out;
+  out.section_domain = dist.domain().section_domain(section);
+  auto add = [&](Extent pos, bool row_start, const OwnerSet& owners) {
+    std::uint32_t id = 0;
+    while (id < out.sets.size() && out.sets[id] != owners) ++id;
+    if (id == out.sets.size()) out.sets.push_back(owners);
+    if (!row_start && out.runs.back().set == id) {
+      ++out.runs.back().count;
+    } else {
+      out.runs.push_back({pos, 1, id});
+    }
+  };
+  if (section.empty()) {
+    add(0, true, ref_owners(dist, IndexTuple{}));
+    return out;
+  }
+  const Extent row = section[0].size();
+  for (Extent k = 0; k < out.section_domain.size(); ++k) {
+    add(k, k % row == 0,
+        ref_owners(dist, dist.domain().section_parent_index(
+                             section, out.section_domain.delinearize(k))));
+  }
+  return out;
+}
+
+RunTable element_table(const LayoutView& view) {
+  return element_table(view.distribution(), view.section());
+}
+
+std::vector<RunTable> element_tables(const std::vector<LayoutView>& views) {
+  std::vector<RunTable> out;
+  for (const LayoutView& v : views) out.push_back(element_table(v));
+  return out;
+}
 
 // The per-segment charge walks the pair walks replaced, kept here as the
 // reference: one engine call per common segment.
 
 template <class Engine>
-void ref_assign(const LayoutView& lhs_view,
-                const std::vector<LayoutView>& leaf_views, Extent bytes,
-                const std::vector<char>& posted, Extent elem_bytes,
-                Extent flops, Engine& engine) {
+void ref_assign(const RunTable& lhs, const std::vector<RunTable>& leaves,
+                Extent bytes, const std::vector<char>& posted,
+                Extent elem_bytes, Extent flops, Engine& engine) {
   auto charge_reads = [&](Extent count, const OwnerSet& lhs_owners,
                           const OwnerSet& leaf_owners) {
     const ApId p = min_owner(lhs_owners);
@@ -374,25 +584,25 @@ void ref_assign(const LayoutView& lhs_view,
       engine.transfer_block(min_owner(leaf_owners), p, bytes, count);
     }
   };
-  for (std::size_t l = 0; l < leaf_views.size(); ++l) {
-    const LayoutView& leaf_view = leaf_views[l];
-    if (leaf_view.size() != lhs_view.size()) {
-      const OwnerSet& leaf_owners = leaf_view.owners(leaf_view.runs().front());
-      for (const OwnerRun& r : lhs_view.runs()) {
-        charge_reads(r.count, lhs_view.owners(r), leaf_owners);
+  for (std::size_t l = 0; l < leaves.size(); ++l) {
+    const RunTable& leaf = leaves[l];
+    if (leaf.section_domain.size() != lhs.section_domain.size()) {
+      const OwnerSet& leaf_owners = leaf.owners(leaf.runs.front());
+      for (const OwnerRun& r : lhs.runs) {
+        charge_reads(r.count, lhs.owners(r), leaf_owners);
       }
       continue;
     }
     if (posted[l]) engine.begin_posted();
     for_each_common_segment(
-        lhs_view.table(), leaf_view.table(),
+        lhs, leaf,
         [&](Extent, Extent count, const OwnerSet& a, const OwnerSet& b) {
           charge_reads(count, a, b);
         });
     if (posted[l]) engine.end_posted();
   }
-  for (const OwnerRun& r : lhs_view.runs()) {
-    const OwnerSet& owners = lhs_view.owners(r);
+  for (const OwnerRun& r : lhs.runs) {
+    const OwnerSet& owners = lhs.owners(r);
     const ApId p = min_owner(owners);
     if (flops > 0) engine.compute(p, flops * r.count);
     for (ApId q : owners) {
@@ -404,10 +614,9 @@ void ref_assign(const LayoutView& lhs_view,
 template <class Engine>
 void ref_remap(const Distribution& from, const Distribution& to,
                Extent elem_bytes, Engine& engine, MemoryDeltaFold& fold) {
-  const LayoutView from_view = LayoutView::whole(from);
-  const LayoutView to_view = LayoutView::whole(to);
   for_each_common_segment(
-      from_view.table(), to_view.table(),
+      element_table(from, from.domain().dims()),
+      element_table(to, to.domain().dims()),
       [&](Extent, Extent count, const OwnerSet& old_owners,
           const OwnerSet& new_owners) {
         const ApId src = min_owner(old_owners);
@@ -451,10 +660,10 @@ void ref_fold(const RunTable& from, const RunTable& to, Extent elem_bytes,
 }
 
 template <class Engine>
-void ref_copy(const LayoutView& dst_view, const LayoutView& src_view,
-              Extent elem_bytes, Engine& engine) {
+void ref_copy(const RunTable& dst, const RunTable& src, Extent elem_bytes,
+              Engine& engine) {
   for_each_common_segment(
-      dst_view.table(), src_view.table(),
+      dst, src,
       [&](Extent, Extent count, const OwnerSet& dst_owners,
           const OwnerSet& src_owners) {
         const ApId sender = min_owner(src_owners);
@@ -470,28 +679,36 @@ void ref_copy(const LayoutView& dst_view, const LayoutView& src_view,
 
 using SetKey = std::pair<std::vector<ApId>, std::vector<ApId>>;
 
+/// A set's members, sorted: the reference lists a union's owners in the
+/// order it meets them.
 std::vector<ApId> members(const OwnerSet& set) {
-  return std::vector<ApId>(set.begin(), set.end());
+  std::vector<ApId> out(set.begin(), set.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The two tables' walk size: the adds a per-segment walk of them makes
+/// at most.
+std::size_t walk_of(const RunTable& a, const RunTable& b) {
+  return a.runs.size() + b.runs.size();
 }
 
 /// Per-pair sums as SetPairCounts emits them over two tables' common
 /// segments; also checks that each pair comes once, in ascending id order.
 std::map<SetKey, Extent> pair_sums(const RunTable& a, const RunTable& b) {
   std::map<SetKey, Extent> out;
-  std::pair<std::ptrdiff_t, std::ptrdiff_t> last(-1, -1);
-  SetPairCounts counts(a, b);
+  std::pair<std::int64_t, std::int64_t> last(-1, -1);
+  SetPairCounts counts(a.sets.size(), b.sets.size(), walk_of(a, b));
   for_each_common_segment_ids(
       a, b, [&](Extent, Extent count, std::uint32_t ia, std::uint32_t ib) {
         counts.add(ia, ib, count);
       });
-  counts.for_each([&](Extent count, const OwnerSet& sa, const OwnerSet& sb) {
-    const std::pair<std::ptrdiff_t, std::ptrdiff_t> ids(&sa - a.sets.data(),
-                                                        &sb - b.sets.data());
+  counts.for_each([&](Extent count, std::uint32_t ia, std::uint32_t ib) {
+    const std::pair<std::int64_t, std::int64_t> ids(ia, ib);
     EXPECT_LT(last, ids) << "pairs out of id order";
     last = ids;
     EXPECT_GT(count, 0);
-    EXPECT_TRUE(out.emplace(SetKey(members(sa), members(sb)), count).second)
-        << "pair emitted twice";
+    out[SetKey(members(a.sets[ia]), members(b.sets[ib]))] += count;
   });
   return out;
 }
@@ -506,14 +723,13 @@ std::map<SetKey, Extent> ref_pair_sums(const RunTable& a, const RunTable& b) {
   return out;
 }
 
-/// Per-pair counts as `pairs` emits them; also checks that each pair comes
-/// once, with a positive count.
+/// Per-pair counts as `pairs` emits them; also checks that each count is
+/// positive. (A pool may hold one set twice, listed in two orders.)
 std::map<SetKey, Extent> pair_sums(const PairCounts& pairs) {
   std::map<SetKey, Extent> out;
   pairs.for_each([&](Extent count, const OwnerSet& sa, const OwnerSet& sb) {
     EXPECT_GT(count, 0);
-    EXPECT_TRUE(out.emplace(SetKey(members(sa), members(sb)), count).second)
-        << "pair emitted twice";
+    out[SetKey(members(sa), members(sb))] += count;
   });
   return out;
 }
@@ -537,11 +753,8 @@ std::map<std::vector<ApId>, Extent> primitive_set_sums(
   std::map<std::vector<ApId>, Extent> out;
   const SectionCounts counts(dist, section);
   for (std::size_t i = 0; i < counts.sets().size(); ++i) {
-    if (counts.counts()[i] != 0) {
-      EXPECT_TRUE(out.emplace(members(counts.sets()[i]), counts.counts()[i])
-                      .second)
-          << "set pooled twice";
-    }
+    EXPECT_GT(counts.counts()[i], 0);
+    out[members(counts.sets()[i])] += counts.counts()[i];
   }
   return out;
 }
@@ -580,6 +793,17 @@ bool same_ops(const std::vector<MemoryDelta>& a,
                     [](const MemoryDelta& x, const MemoryDelta& y) {
                       return x.p == y.p && x.delta == y.delta;
                     });
+}
+
+/// The two tables hold equal owner sets at every position (the library's
+/// table against the element-by-element reference).
+void expect_same_positions(const RunTable& got, const RunTable& want) {
+  ASSERT_EQ(got.section_domain.size(), want.section_domain.size());
+  for_each_common_segment(
+      got, want,
+      [&](Extent begin, Extent, const OwnerSet& g, const OwnerSet& w) {
+        EXPECT_EQ(members(g), members(w)) << "position " << begin;
+      });
 }
 
 class PairWalkProperty : public ::testing::Test {
@@ -737,6 +961,126 @@ class PairWalkProperty : public ::testing::Test {
         });
   }
 
+  /// random_section, rebased half the time onto a 1-based domain, as a
+  /// dummy's domain is (only such a domain can be a section view's).
+  static std::pair<IndexDomain, std::vector<Triplet>> random_side(
+      Rng& rng, const std::vector<Extent>& shape) {
+    auto [dom, section] = random_section(rng, shape);
+    if (rng.uniform(0, 1) == 0) return {std::move(dom), std::move(section)};
+    std::vector<Triplet> dims;
+    for (int d = 0; d < dom.rank(); ++d) {
+      const Index1 shift = 1 - dom.lower(d);
+      dims.emplace_back(1, dom.extent(d));
+      Triplet& t = section[static_cast<std::size_t>(d)];
+      t = Triplet(t.lower() + shift, t.upper() + shift, t.stride());
+    }
+    return {IndexDomain(std::move(dims)), std::move(section)};
+  }
+
+  /// A random alignment of `alignee` onto `base`: each base dimension is
+  /// replicated, a fixed index that may clamp, or fed by an alignee
+  /// dimension no other base dimension uses (§5.1) through a·J + b, a =
+  /// ±1 or ±2, with an offset that may clamp at either end, sometimes under
+  /// MAX or MIN. Alignee dimensions left unused are collapsed. One in six
+  /// is the identity when the extents allow it.
+  static AlignmentFunction random_alignment(Rng& rng,
+                                            const IndexDomain& alignee,
+                                            const IndexDomain& base) {
+    bool same_extents = alignee.rank() == base.rank();
+    for (int d = 0; same_extents && d < base.rank(); ++d) {
+      same_extents = alignee.extent(d) == base.extent(d);
+    }
+    if (same_extents && rng.uniform(0, 5) == 0) {
+      return AlignmentFunction::identity(alignee, base);
+    }
+    std::vector<int> unused;
+    for (int i = 0; i < alignee.rank(); ++i) unused.push_back(i);
+    std::vector<AlignmentFunction::BaseDim> dims(
+        static_cast<std::size_t>(base.rank()));
+    for (int j = 0; j < base.rank(); ++j) {
+      AlignmentFunction::BaseDim& bd = dims[static_cast<std::size_t>(j)];
+      const Extent pick = rng.uniform(0, 5);
+      if (pick == 0 || (unused.empty() && pick >= 2)) {
+        bd.kind = AlignmentFunction::BaseDim::Kind::kReplicated;
+        continue;
+      }
+      if (pick == 1) {
+        bd.kind = AlignmentFunction::BaseDim::Kind::kConst;
+        bd.constant = rng.uniform(base.lower(j) - 3, base.upper(j) + 3);
+        continue;
+      }
+      const std::size_t k = static_cast<std::size_t>(
+          rng.uniform(0, static_cast<Extent>(unused.size()) - 1));
+      const int i = unused[k];
+      unused.erase(unused.begin() + static_cast<std::ptrdiff_t>(k));
+      Index1 a = rng.uniform(1, 2);
+      if (rng.uniform(0, 1) == 1) a = -a;
+      // Start near the bound the images start from, off by up to 8 either
+      // way, so either end may clamp.
+      const Index1 start = a > 0 ? alignee.lower(i) : alignee.upper(i);
+      const Index1 b = base.lower(j) - a * start + rng.uniform(-8, 8);
+      bd.kind = AlignmentFunction::BaseDim::Kind::kExpr;
+      bd.alignee_dim = i;
+      bd.expr = AlignExpr::dummy(i) * a + b;
+      switch (rng.uniform(0, 3)) {
+        case 0:
+          bd.expr = AlignExpr::max(
+              bd.expr, AlignExpr::constant(base.lower(j) + rng.uniform(0, 8)));
+          break;
+        case 1:
+          bd.expr = AlignExpr::min(
+              bd.expr, AlignExpr::constant(base.upper(j) - rng.uniform(0, 8)));
+          break;
+        default:
+          break;
+      }
+    }
+    return AlignmentFunction(alignee, base, std::move(dims));
+  }
+
+  /// A random payload over `dom`: a formats layout, or (depth > 0) an
+  /// array aligned to a random payload of a random base domain, or — over
+  /// a 1-based domain — a section view of a random payload.
+  Distribution random_payload(Rng& rng, const IndexDomain& dom, int depth) {
+    bool one_based = true;
+    for (int d = 0; d < dom.rank(); ++d) one_based &= dom.lower(d) == 1;
+    const Extent pick = depth == 0 ? 0 : rng.uniform(0, one_based ? 2 : 1);
+    if (pick == 0) return random_formats(rng, dom);
+    if (pick == 1) {
+      std::vector<Triplet> dims;
+      const bool alike = rng.uniform(0, 2) == 0;  // room for the identity
+      const int rank =
+          alike ? dom.rank() : static_cast<int>(rng.uniform(1, 3));
+      for (int d = 0; d < rank; ++d) {
+        const Index1 lo = rng.uniform(-3, 3);
+        const Extent n = alike ? dom.extent(d) : rng.uniform(1, 12);
+        dims.emplace_back(lo, lo + n - 1);
+      }
+      const IndexDomain base_dom(std::move(dims));
+      return Distribution::constructed(random_alignment(rng, dom, base_dom),
+                                       random_payload(rng, base_dom, depth - 1));
+    }
+    // The view's dimension d is a triplet of stride ±1 or ±2 inside a
+    // parent dimension a little wider than it spans.
+    std::vector<Triplet> parent_dims;
+    std::vector<Triplet> restriction;
+    for (int d = 0; d < dom.rank(); ++d) {
+      const Extent n = dom.extent(d);
+      const Index1 step = rng.uniform(1, 2);
+      const Extent span = (n - 1) * step + 1;
+      const Index1 lo = rng.uniform(-3, 3);
+      const Extent m = span + rng.uniform(0, 4);
+      parent_dims.emplace_back(lo, lo + m - 1);
+      const Index1 first = lo + rng.uniform(0, m - span);
+      restriction.push_back(rng.uniform(0, 1) == 0
+                                ? Triplet(first, first + span - 1, step)
+                                : Triplet(first + span - 1, first, -step));
+    }
+    const IndexDomain parent_dom(std::move(parent_dims));
+    return Distribution::section_view(random_payload(rng, parent_dom, depth - 1),
+                                      std::move(restriction));
+  }
+
   /// A random distribution of `dom` (rank 1 onto Q, rank 2 onto G).
   Distribution random_dist(Rng& rng, const IndexDomain& dom) {
     const bool rank2 = dom.rank() == 2;
@@ -758,8 +1102,9 @@ class PairWalkProperty : public ::testing::Test {
   void check_pair(const Distribution& a, const Distribution& b) {
     const LayoutView va = LayoutView::whole(a);
     const LayoutView vb = LayoutView::whole(b);
-    EXPECT_EQ(pair_sums(va.table(), vb.table()),
-              ref_pair_sums(va.table(), vb.table()));
+    const RunTable ta = element_table(va);
+    const RunTable tb = element_table(vb);
+    EXPECT_EQ(pair_sums(va.table(), vb.table()), ref_pair_sums(ta, tb));
     {
       SCOPED_TRACE("copy");
       StepPricer got(machine_.cost());
@@ -767,7 +1112,7 @@ class PairWalkProperty : public ::testing::Test {
       CountingEngine ge(&got);
       CountingEngine we(&want);
       charge_copy_step(of(va), of(vb), 8, ge);
-      ref_copy(va, vb, 8, we);
+      ref_copy(ta, tb, 8, we);
       expect_same_pricing(got, want);
     }
     {
@@ -793,7 +1138,7 @@ class PairWalkProperty : public ::testing::Test {
       CountingEngine we(&want);
       charge_assign_step(of(va), of(leaves), std::vector<Extent>(3, 4), posted,
                          8, 3, ge);
-      ref_assign(va, leaves, 4, posted, 8, 3, we);
+      ref_assign(ta, element_tables(leaves), 4, posted, 8, 3, we);
       expect_same_pricing(got, want);
     }
   }
@@ -816,7 +1161,7 @@ TEST_F(PairWalkProperty, RandomTablesMatchThePerSegmentWalks) {
     const Distribution b = random_dist(rng, dom);
     const LayoutView va = LayoutView::whole(a);
     const LayoutView vb = LayoutView::whole(b);
-    ++(SetPairCounts(va.table(), vb.table()).dense() ? dense : hashed);
+    ++(PairCounts(of(va), of(vb)).dense() ? dense : hashed);
     check_pair(a, b);
   }
   // Replicated sets make pools large enough for the hashed regime.
@@ -825,26 +1170,33 @@ TEST_F(PairWalkProperty, RandomTablesMatchThePerSegmentWalks) {
 }
 
 TEST_F(PairWalkProperty, RandomSectionsMatchThePerSegmentWalks) {
-  // Conforming sections of two random formats layouts, ranks 1-3, over
-  // arrangements of different shapes: the per-dimension pair counts, the
-  // per-set counts, the charges and the position-order memory fold equal
-  // those of the two run tables' per-segment walks.
+  // Conforming sections of two random payloads, ranks 1-3, over
+  // arrangements of different shapes: formats layouts, arrays aligned to
+  // them (clamping offsets, strides of ±1/±2, permutations, fixed and
+  // replicated base dimensions, MAX/MIN subscripts, collapsed alignee
+  // dimensions), section views, and chains of these — views of views,
+  // views of aligned arrays, arrays aligned to views. The per-dimension
+  // pair counts, the per-set counts, the charges, the position-order
+  // memory fold and the library's run tables equal those of tables built
+  // element by element from the definitions.
   Rng rng(1993);
-  for (int trial = 0; trial < 400; ++trial) {
+  std::map<std::pair<int, int>, int> kinds;  // (kind a, kind b) -> trials
+  for (int trial = 0; trial < 600; ++trial) {
     SCOPED_TRACE(cat("trial ", trial));
     std::vector<Extent> shape(static_cast<std::size_t>(rng.uniform(0, 3)));
     // Long rank-1 sections let whole CYCLIC periods fit inside a block.
     const Extent widest[] = {0, 60, 15, 7};
     for (Extent& e : shape) e = rng.uniform(2, widest[shape.size()]);
-    const auto [dom_a, sec_a] = random_section(rng, shape);
-    const auto [dom_b, sec_b] = random_section(rng, shape);
-    const Distribution a = random_formats(rng, dom_a);
-    const Distribution b = random_formats(rng, dom_b);
+    const auto [dom_a, sec_a] = random_side(rng, shape);
+    const auto [dom_b, sec_b] = random_side(rng, shape);
+    const Distribution a = random_payload(rng, dom_a, 2);
+    const Distribution b = random_payload(rng, dom_b, 2);
     SCOPED_TRACE(cat(a.to_string(), " x ", b.to_string()));
+    ++kinds[{static_cast<int>(a.kind()), static_cast<int>(b.kind())}];
     const MappedSection ma{&a, &sec_a};
     const MappedSection mb{&b, &sec_b};
-    const RunTable ta = LayoutView::compute(a, sec_a);
-    const RunTable tb = LayoutView::compute(b, sec_b);
+    const RunTable ta = element_table(a, sec_a);
+    const RunTable tb = element_table(b, sec_b);
 
     EXPECT_EQ(primitive_set_sums(a, sec_a), ref_set_sums(ta));
     EXPECT_EQ(primitive_pair_sums(ma, mb), ref_pair_sums(ta, tb));
@@ -859,6 +1211,8 @@ TEST_F(PairWalkProperty, RandomSectionsMatchThePerSegmentWalks) {
     }
     const LayoutView va(a, sec_a);
     const LayoutView vb(b, sec_b);
+    expect_same_positions(va.table(), ta);
+    expect_same_positions(LayoutView::compute(b, sec_b), tb);
     {
       SCOPED_TRACE("copy");
       StepPricer got(machine_.cost());
@@ -866,14 +1220,14 @@ TEST_F(PairWalkProperty, RandomSectionsMatchThePerSegmentWalks) {
       CountingEngine ge(&got);
       CountingEngine we(&want);
       charge_copy_step(ma, mb, 8, ge);
-      ref_copy(va, vb, 8, we);
+      ref_copy(ta, tb, 8, we);
       expect_same_pricing(got, want);
     }
     {
       SCOPED_TRACE("assign");
       // b's section, a's own, and one element of b broadcast.
-      const auto [dom_one, sec_one] = random_section(rng, {});
-      const Distribution one = random_formats(rng, dom_one);
+      const auto [dom_one, sec_one] = random_side(rng, {});
+      const Distribution one = random_payload(rng, dom_one, 1);
       const std::vector<LayoutView> leaves = {vb, va,
                                               LayoutView(one, sec_one)};
       const std::vector<char> posted = {1, 0, 0};
@@ -883,13 +1237,14 @@ TEST_F(PairWalkProperty, RandomSectionsMatchThePerSegmentWalks) {
       CountingEngine we(&want);
       const Extent queries = charge_assign_step(
           ma, of(leaves), std::vector<Extent>(3, 4), posted, 8, 3, ge);
-      ref_assign(va, leaves, 4, posted, 8, 3, we);
+      ref_assign(ta, {tb, ta, element_table(leaves[2])}, 4, posted, 8, 3, we);
       expect_same_pricing(got, want);
       EXPECT_GT(queries, 0);
     }
     {
       SCOPED_TRACE("remap");
-      const Distribution to = random_formats(rng, dom_a);
+      const Distribution to = random_payload(rng, dom_a, 1);
+      SCOPED_TRACE(to.to_string());
       StepPricer got(machine_.cost());
       StepPricer want(machine_.cost());
       CountingEngine ge(&got);
@@ -900,6 +1255,12 @@ TEST_F(PairWalkProperty, RandomSectionsMatchThePerSegmentWalks) {
       ref_remap(a, to, 8, we, want_fold);
       expect_same_pricing(got, want);
       EXPECT_TRUE(same_ops(got_fold.ops(), want_fold.ops()));
+    }
+  }
+  // Every kind meets every kind.
+  for (int ka = 0; ka < 3; ++ka) {
+    for (int kb = 0; kb < 3; ++kb) {
+      EXPECT_GT((kinds[{ka, kb}]), 0) << "kinds " << ka << " x " << kb;
     }
   }
 }
@@ -930,7 +1291,7 @@ TEST_F(PairWalkProperty, SizeZeroAndSizeOneTables) {
     const LayoutView one_a(block, {Triplet::single(i)});
     const LayoutView one_b(rep, {Triplet::single(17 - i)});
     EXPECT_EQ(pair_sums(one_a.table(), one_b.table()),
-              ref_pair_sums(one_a.table(), one_b.table()));
+              ref_pair_sums(element_table(one_a), element_table(one_b)));
     for (const Distribution* lhs : {&block, &rep}) {
       const LayoutView whole = LayoutView::whole(*lhs);
       const std::vector<LayoutView> leaves = {one_b, whole, one_a};
@@ -941,7 +1302,8 @@ TEST_F(PairWalkProperty, SizeZeroAndSizeOneTables) {
       CountingEngine we(&want);
       charge_assign_step(of(whole), of(leaves), std::vector<Extent>(3, 8),
                          posted, 8, 5, ge);
-      ref_assign(whole, leaves, 8, posted, 8, 5, we);
+      ref_assign(element_table(whole), element_tables(leaves), 8, posted, 8,
+                 5, we);
       expect_same_pricing(got, want);
     }
   }
@@ -973,20 +1335,22 @@ TEST_F(PairWalkProperty, ThousandsOfSetsTakeTheHashedRegime) {
   const LayoutView vm = LayoutView::whole(many);
   const LayoutView vb = LayoutView::whole(block);
   ASSERT_EQ(vm.table().sets.size(), static_cast<std::size_t>(kDistinct));
-  EXPECT_FALSE(SetPairCounts(vm.table(), vb.table()).dense());
-  EXPECT_FALSE(SetPairCounts(vb.table(), vm.table()).dense());
+  EXPECT_FALSE(PairCounts(of(vm), of(vb)).dense());
+  EXPECT_FALSE(PairCounts(of(vb), of(vm)).dense());
   // BLOCK against CYCLIC(1): 64 x 64 counts for a 4,160-run walk, dense.
   const Distribution cyclic =
       Distribution::formats(dom, {DistFormat::cyclic(1)}, q);
-  EXPECT_TRUE(
-      SetPairCounts(vb.table(), LayoutView::whole(cyclic).table()).dense());
+  const LayoutView vc = LayoutView::whole(cyclic);
+  EXPECT_TRUE(SetPairCounts(vb.table().sets.size(), vc.table().sets.size(),
+                            walk_of(vb.table(), vc.table()))
+                  .dense());
 
   for (const auto& [from, to] : {std::pair(&many, &block),
                                  std::pair(&block, &many)}) {
     const LayoutView vf = LayoutView::whole(*from);
     const LayoutView vt = LayoutView::whole(*to);
     EXPECT_EQ(pair_sums(vf.table(), vt.table()),
-              ref_pair_sums(vf.table(), vt.table()));
+              ref_pair_sums(element_table(vf), element_table(vt)));
     StepPricer got(machine.cost());
     StepPricer want(machine.cost());
     CountingEngine ge(&got);
@@ -1004,7 +1368,8 @@ TEST_F(PairWalkProperty, ThousandsOfSetsTakeTheHashedRegime) {
     CountingEngine wa(&want_a);
     const std::vector<LayoutView> leaves = {vt, vf};
     charge_assign_step(of(vf), of(leaves), {8, 8}, {1, 0}, 8, 2, ga);
-    ref_assign(vf, leaves, 8, {1, 0}, 8, 2, wa);
+    ref_assign(element_table(vf), element_tables(leaves), 8, {1, 0}, 8, 2,
+               wa);
     expect_same_pricing(got_a, want_a);
   }
 }

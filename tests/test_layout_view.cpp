@@ -13,7 +13,8 @@
 // On top of the properties: the memo cache shares tables between equal
 // sections, the owners() shim answers from a memoized whole-domain table,
 // and the analytic formats need >= 5x fewer ownership queries than a
-// per-element sweep (the E1 acceptance bar) on BLOCK and GENERAL_BLOCK. An
+// per-element sweep (the E1 acceptance bar) on BLOCK and GENERAL_BLOCK,
+// while CYCLIC(1) keeps E1's exact run and probe counts. An
 // identity-aligned array's views hold its base's tables (one object per
 // section); every other alignment builds its own.
 #include <gtest/gtest.h>
@@ -236,6 +237,8 @@ TEST(LayoutViewProperties, ConstructedRandomAlignments) {
 
     std::vector<AlignmentFunction::BaseDim> base_dims(
         static_cast<std::size_t>(base_domain.rank()));
+    // §5.1: each alignee dimension feeds at most one base dimension.
+    std::vector<char> fed(static_cast<std::size_t>(alignee_rank), 0);
     for (std::size_t b = 0; b < base_dims.size(); ++b) {
       AlignmentFunction::BaseDim& bd = base_dims[b];
       switch (rng.uniform(0, 3)) {
@@ -247,8 +250,16 @@ TEST(LayoutViewProperties, ConstructedRandomAlignments) {
           bd.constant = rng.uniform(-5, 45);  // may clamp
           break;
         default: {
+          const int alignee_dim =
+              static_cast<int>(rng.uniform(0, alignee_rank - 1));
+          if (fed[static_cast<std::size_t>(alignee_dim)]) {
+            bd.kind = AlignmentFunction::BaseDim::Kind::kConst;
+            bd.constant = rng.uniform(-5, 45);
+            break;
+          }
+          fed[static_cast<std::size_t>(alignee_dim)] = 1;
           bd.kind = AlignmentFunction::BaseDim::Kind::kExpr;
-          bd.alignee_dim = static_cast<int>(rng.uniform(0, alignee_rank - 1));
+          bd.alignee_dim = alignee_dim;
           Index1 a = rng.uniform(1, 2);
           if (rng.uniform(0, 1) == 1) a = -a;
           // Offsets large enough to exercise the §5.1 clamp rule at both
@@ -616,6 +627,22 @@ TEST(LayoutViewQueries, AnalyticFormatsNeedFarFewerQueriesThanElements) {
     // per (non-empty) processor segment.
     EXPECT_LE(static_cast<Extent>(table.runs.size()), kNp);
   }
+}
+
+TEST(LayoutViewQueries, CyclicOneAtTwoToTheTwentyOnSixteenProcessors) {
+  // The exact E1 counters of BM_SweepRuns/2/16 (bench/bench_dist_lookup),
+  // pinned here so the per-dimension table builder cannot drift: CYCLIC(1)
+  // over 2^20 elements on 16 processors is one run and one segment-list
+  // probe per element.
+  constexpr Extent kN = Extent{1} << 20;
+  ProcessorSpace ps(16);
+  ps.declare("Q", IndexDomain::of_extents({16}));
+  const Distribution dist = Distribution::formats(
+      IndexDomain{Dim(kN)}, {DistFormat::cyclic(1)}, ProcessorRef(ps.find("Q")));
+  const RunTable table = LayoutView::compute(dist, dist.domain().dims());
+  EXPECT_EQ(static_cast<Extent>(table.runs.size()), kN);
+  EXPECT_EQ(table.ownership_queries, kN);
+  EXPECT_EQ(table.sets.size(), 16u);
 }
 
 }  // namespace
