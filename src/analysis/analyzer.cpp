@@ -263,7 +263,7 @@ class Analyzer : public WalkVisitor {
                    "block the statement"),
                line, column);
           if (shifts[l]) {
-            check_shadow_shortfall(array, *shifts[l], *leaf.section,
+            check_shadow_shortfall(array, *shifts[l], op.rendered,
                                    stmt_needed, line, column);
           }
           break;
@@ -353,7 +353,7 @@ class Analyzer : public WalkVisitor {
   /// statement (from `stmt_needed`, see assign).
   void check_shadow_shortfall(
       const DistArray& array, const std::vector<Extent>& shifts,
-      const std::vector<Triplet>& leaf_section,
+      const std::string& rendered_leaf,
       const std::map<std::string, std::vector<ShadowWidth>>& stmt_needed,
       int line, int column) {
     const Distribution& dist = resolve_identity(env_.distribution_of(array));
@@ -378,8 +378,8 @@ class Analyzer : public WalkVisitor {
     if (shortfall.empty()) return;
     auto it = stmt_needed.find(to_upper(array.name()));
     diag("HS001", Severity::kWarning,
-         cat("operand ", render_section(array.name(), leaf_section), ": ",
-             shortfall, ": this transfer will be exposed-sync"),
+         cat("operand ", rendered_leaf, ": ", shortfall,
+             ": this transfer will be exposed-sync"),
          line, column,
          "a pure stencil shift on an identical mapping posts as a halo "
          "exchange once the declared shadow covers it",

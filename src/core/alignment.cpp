@@ -1,6 +1,8 @@
 #include "core/alignment.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <set>
 
 #include "support/error.hpp"
@@ -21,17 +23,28 @@ AlignmentFunction::AlignmentFunction(IndexDomain alignee_domain,
                                " base subscripts for a base of rank ",
                                base_.rank()));
   }
-  std::set<int> fed;
+  std::uint32_t fed = 0;  // alignee dimensions feeding a base subscript
   for (const BaseDim& d : dims_) {
     if (d.kind != BaseDim::Kind::kExpr) continue;
     if (d.alignee_dim < 0 || d.alignee_dim >= alignee_.rank()) {
       throw InternalError("alignment expression references a bad dimension");
     }
-    if (!fed.insert(d.alignee_dim).second) {
+    const std::uint32_t bit = std::uint32_t{1} << d.alignee_dim;
+    if ((fed & bit) != 0) {
       throw ConformanceError(
           "an align-dummy occurs in more than one base subscript (§5.1 "
           "allows each J_i in at most one y_j)");
     }
+    fed |= bit;
+  }
+  identity_ = alignee_ == base_;
+  for (std::size_t j = 0; identity_ && j < dims_.size(); ++j) {
+    const BaseDim& d = dims_[j];
+    const std::optional<AlignExpr::Linear> lin =
+        d.kind == BaseDim::Kind::kExpr && d.alignee_dim == static_cast<int>(j)
+            ? d.expr.linear()
+            : std::nullopt;
+    identity_ = lin && lin->a == 1 && lin->b == 0;
   }
 }
 
@@ -159,20 +172,6 @@ bool AlignmentFunction::structurally_equal(
   append_signature(mine);
   other.append_signature(theirs);
   return mine == theirs;
-}
-
-bool AlignmentFunction::is_identity() const {
-  if (alignee_ != base_) return false;
-  for (std::size_t j = 0; j < dims_.size(); ++j) {
-    const BaseDim& d = dims_[j];
-    if (d.kind != BaseDim::Kind::kExpr ||
-        d.alignee_dim != static_cast<int>(j)) {
-      return false;
-    }
-    const std::optional<AlignExpr::Linear> lin = d.expr.linear();
-    if (!lin || lin->a != 1 || lin->b != 0) return false;
-  }
-  return true;
 }
 
 AlignmentFunction AlignmentFunction::identity(const IndexDomain& alignee_domain,

@@ -137,8 +137,8 @@ class AlignmentFunction {
   /// onto an equal base domain (every base dimension reads the matching
   /// alignee dimension through a linear 1*J+0 expression). An identity
   /// alignment constructs exactly the base distribution, so plan signatures
-  /// collapse it away (exec/comm_plan.cpp).
-  bool is_identity() const;
+  /// collapse it away (exec/comm_plan.cpp). Decided once, at construction.
+  bool is_identity() const noexcept { return identity_; }
 
   /// Identity alignment between two domains of equal shape.
   static AlignmentFunction identity(const IndexDomain& alignee_domain,
@@ -159,6 +159,7 @@ class AlignmentFunction {
   IndexDomain base_;
   std::vector<BaseDim> dims_;
   AlignBoundsPolicy policy_;
+  bool identity_ = false;
 };
 
 /// The unreduced ALIGN directive; `reduce` runs the §5.1 transformations.

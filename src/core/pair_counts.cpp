@@ -505,6 +505,10 @@ Joint joint_period(const DimSeq& a, const DimSeq& b) {
   return {len, 1, 0};
 }
 
+// A paired dimension's counts stay dense up to this many cells (or the
+// walk's size, if larger): P x P for up to 64 processors per dimension.
+constexpr std::size_t kDenseFactorCells = 4096;
+
 // One nonzero (set a_d, set b_d) count of a paired dimension.
 struct Entry {
   std::uint32_t sa;
@@ -545,7 +549,10 @@ struct Factor {
   Stretches stretches;
   std::vector<Entry> entries;
 
-  void seal(bool indexed) {
+  // `expected` sizes the entries: the counts the walk could have made
+  // nonzero.
+  void seal(bool indexed, std::size_t expected) {
+    entries.reserve(expected);
     matrix.for_each([&](Extent count, std::uint32_t sa, std::uint32_t sb) {
       entries.push_back({sa, sb, count});
     });
@@ -997,7 +1004,7 @@ SectionCounts::SectionCounts(const Distribution& dist,
         factors.back().matrix.add(static_cast<std::uint32_t>(s), 0, sums[s]);
       }
     }
-    factors.back().seal(/*indexed=*/false);
+    factors.back().seal(/*indexed=*/false, sums.size());
   }
   for_each_tuple(factors, SetIds{}, SetIds{},
                  [&](const SetIds& ids, const SetIds&, Extent count) {
@@ -1047,11 +1054,13 @@ void PairCounts::count(FormatsSide& side_a, FormatsSide& side_b,
     if (sa.len != sb.len) {
       throw InternalError("pair counts over nonconforming sections");
     }
-    factors.push_back(
-        {dims_a[j], dims_b[j], &sa, &sb,
-         SetPairCounts(sa.list->sets.size(), sb.list->sets.size(),
-                       sa.segments().size() + sb.segments().size()),
-         {}, {}});
+    const std::size_t walk = sa.segments().size() + sb.segments().size();
+    const std::size_t cells = sa.list->sets.size() * sb.list->sets.size();
+    factors.push_back({dims_a[j], dims_b[j], &sa, &sb,
+                       SetPairCounts(sa.list->sets.size(),
+                                     sb.list->sets.size(),
+                                     std::max(walk, kDenseFactorCells)),
+                       {}, {}});
     Factor& f = factors.back();
     const Joint jp = joint_period(sa, sb);
     if (fold != nullptr && j == 0) {
@@ -1064,7 +1073,7 @@ void PairCounts::count(FormatsSide& side_a, FormatsSide& side_b,
       v.weight = 1;
       merge_dim(sa, sb, jp.rem, v);
     }
-    f.seal(/*indexed=*/fold != nullptr);
+    f.seal(/*indexed=*/fold != nullptr, std::min(walk, cells));
   }
 
   struct Combo {

@@ -82,8 +82,8 @@ inline Extent section_size(const std::vector<Triplet>& section) {
 /// Element counts per (id a, id b) pair of two pools of na and nb ids. The
 /// ids index two different pools, so equal ids do not mean equal sets. The
 /// counts live in a dense na x nb matrix when na * nb <= max(walk, kInline),
-/// where `walk` bounds the adds the producer makes, so its memory and its
-/// scan stay within the producer's own size or a small constant (kInline
+/// where `walk` is the producer's own size (at least the adds it makes), so
+/// its memory and its scan stay within that size or a small constant (kInline
 /// counts are held inline: a small count allocates nothing); otherwise —
 /// thousands of distinct user-defined sets — in a hashed table keyed by the
 /// packed id pair. The choice is a function of the sizes alone.

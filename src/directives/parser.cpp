@@ -716,7 +716,11 @@ AstNode parse_line(const Line& line) {
 AstProgram parse_program(const std::string& source) {
   AstProgram program;
   AstSubroutine* open_subroutine = nullptr;
-  for (const Line& line : lex(source)) {
+  const std::vector<Line> lines = lex(source);
+  // At most one node per line: the nodes are large, so growing the list
+  // by doubling would move each of them about once more.
+  program.main.reserve(lines.size());
+  for (const Line& line : lines) {
     AstNode node = parse_line(line);
     if (node.kind == AstNode::Kind::kSubroutineStart) {
       if (open_subroutine != nullptr) {

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -679,10 +680,17 @@ void ref_copy(const RunTable& dst, const RunTable& src, Extent elem_bytes,
 
 using SetKey = std::pair<std::vector<ApId>, std::vector<ApId>>;
 
+/// A set's members in pool order: two ids holding this same list are one
+/// set interned twice.
+std::vector<ApId> raw_members(const OwnerSet& set) {
+  return std::vector<ApId>(set.begin(), set.end());
+}
+
 /// A set's members, sorted: the reference lists a union's owners in the
-/// order it meets them.
+/// order it meets them, and a pool may hold one set in two orders (a
+/// user format lists its owners in its own order).
 std::vector<ApId> members(const OwnerSet& set) {
-  std::vector<ApId> out(set.begin(), set.end());
+  std::vector<ApId> out = raw_members(set);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -697,6 +705,7 @@ std::size_t walk_of(const RunTable& a, const RunTable& b) {
 /// segments; also checks that each pair comes once, in ascending id order.
 std::map<SetKey, Extent> pair_sums(const RunTable& a, const RunTable& b) {
   std::map<SetKey, Extent> out;
+  std::set<SetKey> emitted;
   std::pair<std::int64_t, std::int64_t> last(-1, -1);
   SetPairCounts counts(a.sets.size(), b.sets.size(), walk_of(a, b));
   for_each_common_segment_ids(
@@ -708,6 +717,10 @@ std::map<SetKey, Extent> pair_sums(const RunTable& a, const RunTable& b) {
     EXPECT_LT(last, ids) << "pairs out of id order";
     last = ids;
     EXPECT_GT(count, 0);
+    EXPECT_TRUE(emitted
+                    .emplace(raw_members(a.sets[ia]), raw_members(b.sets[ib]))
+                    .second)
+        << "pair emitted twice";
     out[SetKey(members(a.sets[ia]), members(b.sets[ib]))] += count;
   });
   return out;
@@ -723,12 +736,15 @@ std::map<SetKey, Extent> ref_pair_sums(const RunTable& a, const RunTable& b) {
   return out;
 }
 
-/// Per-pair counts as `pairs` emits them; also checks that each count is
-/// positive. (A pool may hold one set twice, listed in two orders.)
+/// Per-pair counts as `pairs` emits them; also checks that each pair comes
+/// once, with a positive count.
 std::map<SetKey, Extent> pair_sums(const PairCounts& pairs) {
   std::map<SetKey, Extent> out;
+  std::set<SetKey> emitted;
   pairs.for_each([&](Extent count, const OwnerSet& sa, const OwnerSet& sb) {
     EXPECT_GT(count, 0);
+    EXPECT_TRUE(emitted.emplace(raw_members(sa), raw_members(sb)).second)
+        << "pair emitted twice";
     out[SetKey(members(sa), members(sb))] += count;
   });
   return out;
@@ -751,9 +767,12 @@ std::map<SetKey, Extent> reused_pair_sums(const MappedSection& a,
 std::map<std::vector<ApId>, Extent> primitive_set_sums(
     const Distribution& dist, const std::vector<Triplet>& section) {
   std::map<std::vector<ApId>, Extent> out;
+  std::set<std::vector<ApId>> pooled;
   const SectionCounts counts(dist, section);
   for (std::size_t i = 0; i < counts.sets().size(); ++i) {
     EXPECT_GT(counts.counts()[i], 0);
+    EXPECT_TRUE(pooled.insert(raw_members(counts.sets()[i])).second)
+        << "set pooled twice";
     out[members(counts.sets()[i])] += counts.counts()[i];
   }
   return out;
