@@ -1,10 +1,12 @@
 // Small string helpers used across the library (GCC 12 lacks std::format).
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -63,12 +65,47 @@ std::string subscripted(const std::string& name,
 /// Renders a byte count with a thousands separator for bench tables.
 std::string with_commas(std::uint64_t value);
 
-/// Minimal printf-free concatenation helper: cat("N=", 4, " ok").
+namespace detail {
+
+/// Whether cat appends a part itself, byte for byte as an ostream would
+/// print it: text, a char, or a multi-byte integer.
+template <typename T>
+inline constexpr bool kCatAppends =
+    std::is_convertible_v<const T&, std::string_view> ||
+    std::is_same_v<T, char> || std::is_same_v<T, short> ||
+    std::is_same_v<T, unsigned short> || std::is_same_v<T, int> ||
+    std::is_same_v<T, unsigned> || std::is_same_v<T, long> ||
+    std::is_same_v<T, unsigned long> || std::is_same_v<T, long long> ||
+    std::is_same_v<T, unsigned long long>;
+
+template <typename T>
+void cat_append(std::string& out, const T& part) {
+  if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+    out.append(std::string_view(part));
+  } else if constexpr (std::is_same_v<T, char>) {
+    out.push_back(part);
+  } else {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, part).ptr);
+  }
+}
+
+}  // namespace detail
+
+/// Minimal printf-free concatenation helper: cat("N=", 4, " ok"). Text and
+/// integers are appended directly; any other part (a double, a type with
+/// its own operator<<) prints the whole call through an ostream.
 template <typename... Parts>
 std::string cat(const Parts&... parts) {
-  std::ostringstream out;
-  (out << ... << parts);
-  return out.str();
+  if constexpr ((detail::kCatAppends<Parts> && ...)) {
+    std::string out;
+    (detail::cat_append(out, parts), ...);
+    return out;
+  } else {
+    std::ostringstream out;
+    (out << ... << parts);
+    return out.str();
+  }
 }
 
 }  // namespace hpfnt
