@@ -24,7 +24,11 @@ AlignmentFunction::AlignmentFunction(IndexDomain alignee_domain,
                                base_.rank()));
   }
   std::uint32_t fed = 0;  // alignee dimensions feeding a base subscript
-  for (const BaseDim& d : dims_) {
+  identity_ = alignee_ == base_;
+  for (std::size_t j = 0; j < dims_.size(); ++j) {
+    const BaseDim& d = dims_[j];
+    identity_ = identity_ && d.kind == BaseDim::Kind::kExpr &&
+                d.alignee_dim == static_cast<int>(j);
     if (d.kind != BaseDim::Kind::kExpr) continue;
     if (d.alignee_dim < 0 || d.alignee_dim >= alignee_.rank()) {
       throw InternalError("alignment expression references a bad dimension");
@@ -36,15 +40,8 @@ AlignmentFunction::AlignmentFunction(IndexDomain alignee_domain,
           "allows each J_i in at most one y_j)");
     }
     fed |= bit;
-  }
-  identity_ = alignee_ == base_;
-  for (std::size_t j = 0; identity_ && j < dims_.size(); ++j) {
-    const BaseDim& d = dims_[j];
-    const std::optional<AlignExpr::Linear> lin =
-        d.kind == BaseDim::Kind::kExpr && d.alignee_dim == static_cast<int>(j)
-            ? d.expr.linear()
-            : std::nullopt;
-    identity_ = lin && lin->a == 1 && lin->b == 0;
+    const std::optional<AlignExpr::Linear> lin = d.expr.linear();
+    identity_ = identity_ && lin && lin->a == 1 && lin->b == 0;
   }
 }
 

@@ -505,8 +505,7 @@ Joint joint_period(const DimSeq& a, const DimSeq& b) {
   return {len, 1, 0};
 }
 
-// A paired dimension's counts stay dense up to this many cells (or the
-// walk's size, if larger): P x P for up to 64 processors per dimension.
+// A paired dimension's counts stay dense up to this many cells, or the walk.
 constexpr std::size_t kDenseFactorCells = 4096;
 
 // One nonzero (set a_d, set b_d) count of a paired dimension.
@@ -549,8 +548,7 @@ struct Factor {
   Stretches stretches;
   std::vector<Entry> entries;
 
-  // `expected` sizes the entries: the counts the walk could have made
-  // nonzero.
+  // `expected`: the counts the walk may have made nonzero.
   void seal(bool indexed, std::size_t expected) {
     entries.reserve(expected);
     matrix.for_each([&](Extent count, std::uint32_t sa, std::uint32_t sb) {
@@ -1054,12 +1052,11 @@ void PairCounts::count(FormatsSide& side_a, FormatsSide& side_b,
     if (sa.len != sb.len) {
       throw InternalError("pair counts over nonconforming sections");
     }
+    const std::size_t na = sa.list->sets.size();
+    const std::size_t nb = sb.list->sets.size();
     const std::size_t walk = sa.segments().size() + sb.segments().size();
-    const std::size_t cells = sa.list->sets.size() * sb.list->sets.size();
     factors.push_back({dims_a[j], dims_b[j], &sa, &sb,
-                       SetPairCounts(sa.list->sets.size(),
-                                     sb.list->sets.size(),
-                                     std::max(walk, kDenseFactorCells)),
+                       SetPairCounts(na, nb, std::max(walk, kDenseFactorCells)),
                        {}, {}});
     Factor& f = factors.back();
     const Joint jp = joint_period(sa, sb);
@@ -1073,7 +1070,7 @@ void PairCounts::count(FormatsSide& side_a, FormatsSide& side_b,
       v.weight = 1;
       merge_dim(sa, sb, jp.rem, v);
     }
-    f.seal(/*indexed=*/fold != nullptr, std::min(walk, cells));
+    f.seal(/*indexed=*/fold != nullptr, std::min(walk, na * nb));
   }
 
   struct Combo {

@@ -717,9 +717,7 @@ AstProgram parse_program(const std::string& source) {
   AstProgram program;
   AstSubroutine* open_subroutine = nullptr;
   const std::vector<Line> lines = lex(source);
-  // At most one node per line: the nodes are large, so growing the list
-  // by doubling would move each of them about once more.
-  program.main.reserve(lines.size());
+  program.main.reserve(lines.size());  // at most a node per line
   for (const Line& line : lines) {
     AstNode node = parse_line(line);
     if (node.kind == AstNode::Kind::kSubroutineStart) {

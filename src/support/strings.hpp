@@ -67,16 +67,16 @@ std::string with_commas(std::uint64_t value);
 
 namespace detail {
 
+template <typename T, typename... Ts>
+inline constexpr bool kOneOf = (std::is_same_v<T, Ts> || ...);
+
 /// Whether cat appends a part itself, byte for byte as an ostream would
 /// print it: text, a char, or a multi-byte integer.
 template <typename T>
 inline constexpr bool kCatAppends =
     std::is_convertible_v<const T&, std::string_view> ||
-    std::is_same_v<T, char> || std::is_same_v<T, short> ||
-    std::is_same_v<T, unsigned short> || std::is_same_v<T, int> ||
-    std::is_same_v<T, unsigned> || std::is_same_v<T, long> ||
-    std::is_same_v<T, unsigned long> || std::is_same_v<T, long long> ||
-    std::is_same_v<T, unsigned long long>;
+    kOneOf<T, char, short, unsigned short, int, unsigned, long, unsigned long,
+           long long, unsigned long long>;
 
 template <typename T>
 void cat_append(std::string& out, const T& part) {
